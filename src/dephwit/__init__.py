@@ -63,6 +63,7 @@ from .witness import (
     haar_witness_prefactor_sq,
     pure_state_rms_prefactor,
     structured_average_distance,
+    structured_average_grid,
     theorem_mc_check,
     theorem_rhs,
     trace_distance,
@@ -116,6 +117,7 @@ __all__ = [
     "haar_witness_prefactor_sq",
     "pure_state_rms_prefactor",
     "structured_average_distance",
+    "structured_average_grid",
     "theorem_mc_check",
     "theorem_rhs",
     "trace_distance",

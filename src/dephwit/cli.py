@@ -30,7 +30,7 @@ from .witness import (
     choi_isotropic_check,
     haar_average_distance_sq,
     haar_witness_prefactor_sq,
-    structured_average_distance,
+    structured_average_grid,
     theorem_mc_check,
     twirl_constants,
     twirl_mc,
@@ -240,14 +240,13 @@ def _run_structured_average(config: ExperimentConfig, master: RngHandle, workers
     state, deph, _ = _dephased_pair(config, master.derive(_STATE_STREAM))
     delta = float(hs_norm(state.rho - deph.rho))
     ensemble = _build_ensemble(config)
-    mc = master.derive(_MC_STREAM)
-    redraw = config.spectrum_mode == "annealed"
+    times = _time_grid(config)
+    estimates = structured_average_grid(
+        state, deph, ensemble, times, config.n_samples, master.derive(_MC_STREAM),
+        workers=workers, redraw_spectrum=config.spectrum_mode == "annealed",
+    )
     rows = []
-    for i, t in enumerate(_time_grid(config)):
-        est = structured_average_distance(
-            state, deph, ensemble, float(t), config.n_samples, mc.derive(i),
-            workers=workers, redraw_spectrum=redraw,
-        )
+    for t, est in zip(times, estimates):
         rms, rms_err = est.rms()
         rows.append(
             {
@@ -355,12 +354,13 @@ def main(argv=None) -> int:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(text, command=args.command)
+        config = parse_config(text, command=args.command).with_overrides(
+            seed=args.seed, output=args.output, format=args.format
+        )
     except ConfigError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    config = config.with_overrides(seed=args.seed, output=args.output, format=args.format)
     if config.output is None:
         print("config error: output: required (set the key or pass --output)", file=sys.stderr)
         return 2

@@ -49,6 +49,7 @@ ALL_KEYS = GLOBAL_KEYS | STATE_KEYS | ENSEMBLE_KEYS | TIME_KEYS | {"n_samples", 
 FORMATS = ("csv", "json")
 SPECTRUM_MODES = ("annealed", "quenched")
 ENSEMBLES = ("poisson", "gue", "explicit")
+SEED_MAX = 2**64 - 1
 
 
 class ConfigError(ValueError):
@@ -88,8 +89,13 @@ class ExperimentConfig:
         output: str | None = None,
         format: str | None = None,
     ) -> "ExperimentConfig":
+        """Copy with the given fields replaced; a seed is range-checked as in a file."""
         updates: dict[str, Any] = {}
         if seed is not None:
+            errors: list[str] = []
+            _Collector({"seed": seed}, errors).get_int("seed", minimum=0, maximum=SEED_MAX)
+            if errors:
+                raise ConfigError(errors)
             updates["seed"] = seed
         if output is not None:
             updates["output"] = output
@@ -351,7 +357,7 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
     col = _Collector(entries, errors)
     d_s = col.get_int("d_S", minimum=1)
     d_e = col.get_int("d_E", minimum=1)
-    seed = col.get_int("seed", minimum=0, maximum=2**64 - 1)
+    seed = col.get_int("seed", minimum=0, maximum=SEED_MAX)
     for key, value in (("d_S", d_s), ("d_E", d_e), ("seed", seed)):
         if key not in entries:
             col.error(key, "required")

@@ -12,6 +12,11 @@ chunks, each drawn from its own derived RNG substream. Each chunk reports
 (count, mean, M2), its sum of squared deviations, and the chunks are
 merged in chunk order. Results are therefore bit-identical for any worker
 count.
+
+A structured average over a time grid is one Monte Carlo run: each
+sample's Haar eigenvectors and spectrum serve every time point. The rows
+of the grid are therefore correlated by design and must not be combined
+as independent estimates.
 """
 
 from __future__ import annotations
@@ -261,6 +266,63 @@ def theorem_mc_check(
     return est, theorem_rhs(m, d_s, d_e)
 
 
+def structured_average_grid(
+    rho: BipartiteState,
+    rho_deph: BipartiteState,
+    ensemble: SpectrumEnsemble,
+    time_grid,
+    n_samples: int,
+    rng: RngHandle,
+    workers: int = 1,
+    redraw_spectrum: bool = True,
+) -> list[McEstimate]:
+    """Average squared witness under W exp(-iDt) W^dagger along a time grid.
+
+    W is Haar; the spectrum D is redrawn per sample (annealed) or frozen
+    once from a derived substream (``redraw_spectrum=False``, quenched).
+    Each sample's (W, D) serves every time of the grid: M' = W^dagger M W
+    is formed once, and time t contributes the squared norm of
+    Tr_E(W (M' o phi phi^dagger) W^dagger) with phi = exp(-iDt). The rows
+    therefore share their random numbers and are correlated by design;
+    each is a valid estimate on its own, but they must not be combined
+    (averaged, fitted) as independent estimates. At t = 0 the evolution is
+    the identity and the marginals of the two states coincide, so those
+    rows are exactly zero and draw nothing.
+    """
+    m = _check_state_pair(rho, rho_deph)
+    d, d_s = rho.dim, rho.d_s
+    if ensemble.dim != d:
+        raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {d}")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    times = np.asarray(time_grid, dtype=float).reshape(-1)
+    estimates = [McEstimate(0.0, 0.0, n_samples)] * times.size
+    moving = np.flatnonzero(times)
+    if moving.size == 0:
+        return estimates
+    frozen_levels = None if redraw_spectrum else sample_spectrum(ensemble, rng.derive(1))
+
+    def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
+        w = haar_unitary(d, handle, size=count)
+        levels = sample_spectrum(ensemble, handle, size=count) if frozen_levels is None else frozen_levels
+        m_w = dagger(w) @ m @ w
+        # one time at a time keeps the working set at a few (count, d, d) arrays
+        out = np.empty((count, moving.size))
+        for i, t in enumerate(times[moving]):
+            # W (M' o phi phi^dagger) W^dagger = A M' A^dagger with A = W diag(phi);
+            # its reduced block sums the environment rows of (A M') and A
+            a = w * np.exp(-1j * t * levels)[..., None, :]
+            rows = (a @ m_w).reshape(count, d_s, -1)
+            red = rows @ np.swapaxes(a.conj().reshape(count, d_s, -1), 1, 2)
+            out[:, i] = np.einsum("nij,nij->n", red.conj(), red).real
+        return out
+
+    mean, std_error = _mc_moments(sample_fn, n_samples, rng, workers)
+    for i, mu, err in zip(moving, mean, std_error):
+        estimates[i] = McEstimate(float(mu), float(err), n_samples)
+    return estimates
+
+
 def structured_average_distance(
     rho: BipartiteState,
     rho_deph: BipartiteState,
@@ -271,37 +333,14 @@ def structured_average_distance(
     workers: int = 1,
     redraw_spectrum: bool = True,
 ) -> McEstimate:
-    """Average squared witness under W exp(-iDt) W^dagger evolutions.
+    """Average squared witness at the single time ``t``.
 
-    W is Haar; the spectrum D is redrawn per sample (annealed) or frozen
-    once from a derived substream (``redraw_spectrum=False``, quenched).
-    At t = 0 the evolution is the identity and the marginals of the two
-    states coincide, so the distance vanishes identically and no sampling
-    is performed.
+    The one-point case of :func:`structured_average_grid`, with the same
+    draws for the same ``rng``.
     """
-    m = _check_state_pair(rho, rho_deph)
-    d = rho.dim
-    if ensemble.dim != d:
-        raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {d}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    t = float(t)
-    if t == 0.0:
-        return McEstimate(0.0, 0.0, n_samples)
-    frozen_levels = None if redraw_spectrum else sample_spectrum(ensemble, rng.derive(1))
-
-    def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
-        w = haar_unitary(d, handle, size=count)
-        if frozen_levels is None:
-            levels = sample_spectrum(ensemble, handle, size=count)
-        else:
-            levels = np.broadcast_to(frozen_levels, (count, d))
-        phases = np.exp(-1j * t * levels)
-        u = (w * phases[:, None, :]) @ dagger(w)
-        return _batch_norm_sq_reduced(u, m, rho.d_s, rho.d_e)
-
-    mean, std_error = _mc_moments(sample_fn, n_samples, rng, workers)
-    return McEstimate(float(mean), float(std_error), n_samples)
+    return structured_average_grid(
+        rho, rho_deph, ensemble, [t], n_samples, rng, workers, redraw_spectrum
+    )[0]
 
 
 def witness_trajectory(

@@ -5,7 +5,13 @@ import pytest
 
 from dephwit.dephasing import dephase_total
 from dephwit.linalg import dagger, hs_norm, tensor
-from dephwit.randmat import RngHandle, SpectrumEnsemble, haar_unitary, structured_evolution
+from dephwit.randmat import (
+    RngHandle,
+    SpectrumEnsemble,
+    haar_unitary,
+    sample_spectrum,
+    structured_evolution,
+)
 from dephwit.states import (
     BipartiteState,
     classical_state,
@@ -25,6 +31,7 @@ from dephwit.witness import (
     maximally_entangled_ket,
     pure_state_rms_prefactor,
     structured_average_distance,
+    structured_average_grid,
     theorem_mc_check,
     theorem_rhs,
     trace_distance,
@@ -263,6 +270,74 @@ def test_structured_average_rejects_mismatched_ensemble():
     state, deph = _pair(SQRT8, 2, 2)
     with pytest.raises(ValueError):
         structured_average_distance(state, deph, SpectrumEnsemble("gue", 6), 1.0, 100, RngHandle(1))
+
+
+def _grid_case():
+    state = random_mixed(2, 3, 4, RngHandle(190))
+    return state, dephase_total(state)
+
+
+def test_structured_grid_matches_worker_counts():
+    state, deph = _grid_case()
+    times = [0.0, 0.5, 1.5, 3.0]
+    n = 2 * MC_CHUNK + 76
+    for ens, redraw in ((SpectrumEnsemble("gue", 6), True), (SpectrumEnsemble("poisson", 6), False)):
+        one, two = (
+            structured_average_grid(
+                state, deph, ens, times, n, RngHandle(191), workers=w, redraw_spectrum=redraw
+            )
+            for w in (1, 2)
+        )
+        assert one == two  # bit-identical, not approximately equal
+
+
+def test_structured_grid_columns_match_direct_evolution_and_single_times():
+    # each column against U M U^dagger with U = W exp(-iDt) W^dagger built
+    # from the same draws, and against the single-time call on the same stream
+    state, deph = _grid_case()
+    m = state.rho - deph.rho
+    times = [0.25, 1.0, 2.5]
+    n = 2 * MC_CHUNK + 76
+    for ens, redraw in ((SpectrumEnsemble("gue", 6), True), (SpectrumEnsemble("poisson", 6), False)):
+        rng = RngHandle(192)
+        grid = structured_average_grid(state, deph, ens, times, n, rng, redraw_spectrum=redraw)
+        w_parts, level_parts = [], []
+        for k, start in enumerate(range(0, n, MC_CHUNK)):
+            handle = rng.derive(0, k)
+            count = min(MC_CHUNK, n - start)
+            w_parts.append(haar_unitary(6, handle, size=count))
+            if redraw:
+                level_parts.append(sample_spectrum(ens, handle, size=count))
+        w = np.concatenate(w_parts)
+        levels = np.concatenate(level_parts) if redraw else sample_spectrum(ens, rng.derive(1))
+        for t, est in zip(times, grid):
+            u = (w * np.exp(-1j * t * levels)[..., None, :]) @ dagger(w)
+            x = (u @ m @ dagger(u)).reshape(n, 2, 3, 2, 3)
+            red = np.einsum("nikjk->nij", x)
+            samples = np.einsum("nij,nij->n", red.conj(), red).real
+            assert est.mean == pytest.approx(samples.mean(), rel=1e-12)
+            assert est.std_error == pytest.approx(samples.std(ddof=1) / math.sqrt(n), rel=1e-9)
+            single = structured_average_distance(
+                state, deph, ens, t, n, rng, redraw_spectrum=redraw
+            )
+            assert est.mean == pytest.approx(single.mean, rel=1e-12)
+            assert est.std_error == pytest.approx(single.std_error, rel=1e-12)
+            assert est.n_samples == single.n_samples == n
+
+
+def test_structured_grid_zero_and_repeated_times():
+    state, deph = _grid_case()
+    ens = SpectrumEnsemble("gue", 6)
+    grid = structured_average_grid(state, deph, ens, [0.7, 0.0, 1.4, 0.0, 0.0, 1.4], 1_000, RngHandle(193))
+    for i in (1, 3, 4):
+        assert grid[i] == McEstimate(0.0, 0.0, 1_000)
+    assert grid[0].mean > 0.0 and grid[2].mean > 0.0
+    assert grid[2] == grid[5]
+    # the zero rows draw nothing, so the sampled rows are those of the grid without them
+    assert [grid[0], grid[2]] == structured_average_grid(state, deph, ens, [0.7, 1.4], 1_000, RngHandle(193))
+    assert structured_average_grid(state, deph, ens, [0.0, 0.0], 1_000, RngHandle(193)) == [
+        McEstimate(0.0, 0.0, 1_000)
+    ] * 2
 
 
 # ---------------------------------------------------------------------------
