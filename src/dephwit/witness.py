@@ -11,7 +11,10 @@ Monte Carlo sampling is chunked: samples are split into fixed-size
 chunks, each drawn from its own derived RNG substream. Each chunk reports
 (count, mean, M2), its sum of squared deviations, and the chunks are
 merged in chunk order. Results are therefore bit-identical for any worker
-count.
+count. The Choi check's samples are rank one, the outer product of two
+vectors of length d^2, so its chunk moments come from centered factors
+through matrix products over the chunk axis, in O(n d^2) memory, instead
+of a second pass over n dense (d^2, d^2) samples.
 
 A structured average over a time grid is one Monte Carlo run: each
 sample's Haar eigenvectors and spectrum serve every time point. The rows
@@ -128,32 +131,29 @@ def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
         return list(pool.map(worker_fn, range(n_chunks)))
 
 
-def _mc_moments(sample_fn, n_samples: int, rng: RngHandle, workers: int):
-    """Mean and standard error of a per-sample function of any trailing shape.
+def _two_pass(samples: np.ndarray):
+    """(count, mean, M2) of one chunk of samples, M2 from a second pass.
 
-    ``sample_fn(handle, count)`` returns ``count`` samples drawn from the
-    given substream. Chunk k always uses rng.derive(0, k) and reports
-    (count, mean, M2), M2 from a second pass over its samples, so no sum of
-    squares cancels against a squared mean. Chunks are merged in chunk
-    order by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37,
-    242, 1983), so the result does not depend on ``workers``. For complex
-    samples M2 sums the real and imaginary parts.
+    No sum of squares cancels against a squared mean. For complex samples
+    M2 sums the squared deviations of the real and imaginary parts.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    counts = _chunk_counts(n_samples)
+    # samplers return a fresh array, so the deviations overwrite it
+    dev = np.ascontiguousarray(samples)
+    count = dev.shape[0]
+    mean = dev.mean(axis=0)
+    dev -= mean
+    # real and imaginary parts side by side, squared and summed in one pass
+    parts = dev.reshape(count, -1).view(np.float64)
+    m2 = np.einsum("nk,nk->k", parts, parts).reshape(np.shape(mean) + (-1,)).sum(axis=-1)
+    return count, mean, m2
 
-    def one_chunk(k: int):
-        # samplers return a fresh array, so the deviations overwrite it
-        dev = np.ascontiguousarray(sample_fn(rng.derive(0, k), counts[k]))
-        mean = dev.mean(axis=0)
-        dev -= mean
-        # real and imaginary parts side by side, squared and summed in one pass
-        parts = dev.reshape(counts[k], -1).view(np.float64)
-        m2 = np.einsum("nk,nk->k", parts, parts).reshape(np.shape(mean) + (-1,)).sum(axis=-1)
-        return counts[k], mean, m2
 
-    partials = _run_chunks(one_chunk, len(counts), workers)
+def _merge(partials):
+    """Mean and standard error from per-chunk (count, mean, M2), in chunk order.
+
+    The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983);
+    merging in a fixed order keeps the result independent of ``workers``.
+    """
     n, mean, m2 = partials[0]
     for n_b, mean_b, m2_b in partials[1:]:
         delta = mean_b - mean
@@ -162,6 +162,28 @@ def _mc_moments(sample_fn, n_samples: int, rng: RngHandle, workers: int):
         m2 = m2 + m2_b + (delta.real**2 + delta.imag**2) * (n * n_b / total)
         n = total
     return mean, np.sqrt(m2 / ((n - 1) * n))
+
+
+def _mc_chunks(chunk_fn, n_samples: int, rng: RngHandle, workers: int):
+    """Mean and standard error from chunk statistics.
+
+    ``chunk_fn(handle, count)`` draws ``count`` samples from ``handle`` and
+    returns their (count, mean, M2). Chunk k always uses rng.derive(0, k).
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    counts = _chunk_counts(n_samples)
+    partials = _run_chunks(lambda k: chunk_fn(rng.derive(0, k), counts[k]), len(counts), workers)
+    return _merge(partials)
+
+
+def _mc_moments(sample_fn, n_samples: int, rng: RngHandle, workers: int):
+    """Mean and standard error of a per-sample function of any trailing shape.
+
+    ``sample_fn(handle, count)`` returns ``count`` samples drawn from the
+    given substream; each chunk's moments come from :func:`_two_pass`.
+    """
+    return _mc_chunks(lambda handle, count: _two_pass(sample_fn(handle, count)), n_samples, rng, workers)
 
 
 def _batch_norm_sq_reduced(u: np.ndarray, m: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
@@ -262,8 +284,8 @@ def theorem_mc_check(
     """Monte Carlo estimate of the Haar-averaged squared reduced norm,
     paired with its closed-form value."""
     m = require_hermitian(m, "m")
-    est = _haar_mean_sq(m, d_s, d_e, n_samples, rng, workers)
-    return est, theorem_rhs(m, d_s, d_e)
+    rhs = theorem_rhs(m, d_s, d_e)  # rejects bad dimensions before any sampling
+    return _haar_mean_sq(m, d_s, d_e, n_samples, rng, workers), rhs
 
 
 def structured_average_grid(
@@ -439,6 +461,45 @@ def maximally_entangled_ket(d: int) -> np.ndarray:
     return omega
 
 
+def _abs_sq(x: np.ndarray) -> np.ndarray:
+    return x.real**2 + x.imag**2
+
+
+def _choi_moments(a_op: np.ndarray, b_op: np.ndarray, n_samples: int, rng: RngHandle, workers: int):
+    """Mean and entrywise standard error of the sampled Choi matrix.
+
+    The channel output on |w><w'| is (column w of U^dagger A U) times (row
+    w' of U^dagger B U), so each sample's Choi matrix is the rank-one outer
+    product of L = vec(U^dagger A U) / d and R = vec((U^dagger B U)^T).
+    With chunk means a, b and centered factors l = L - a, r = R - b, the
+    chunk mean is a b^T + c with c = l^T r / n, and every sum over the chunk
+    is a product of (n, d^2) factors: no (n, d^2, d^2) tensor is formed.
+    """
+    d = a_op.shape[0]
+
+    def chunk_fn(handle: RngHandle, count: int):
+        u = haar_unitary(d, handle, size=count)
+        udag = dagger(u)
+        left = (udag @ a_op @ u).reshape(count, -1) / d
+        right = np.swapaxes(udag @ b_op @ u, 1, 2).reshape(count, -1)
+        a, b = left.mean(axis=0), right.mean(axis=0)
+        l, r = left - a, right - b
+        l_sq, r_sq = _abs_sq(l), _abs_sq(r)
+        c = (l.T @ r) / count
+        # M2 = sum_n |a_i r_nj + b_j l_ni + l_ni r_nj|^2 - n |c_ij|^2, as the
+        # centered factors sum to zero; each cross term is one GEMM
+        cross = a[:, None] * b.conj() * (l.conj().T @ r)
+        cross += a[:, None] * (l.T @ r_sq).conj()
+        cross += b * (l_sq.T @ r).conj()
+        m2 = np.outer(_abs_sq(a), r_sq.sum(axis=0)) + np.outer(l_sq.sum(axis=0), _abs_sq(b))
+        m2 += l_sq.T @ r_sq
+        m2 += 2.0 * cross.real
+        m2 -= count * _abs_sq(c)
+        return count, np.outer(a, b) + c, m2
+
+    return _mc_chunks(chunk_fn, n_samples, rng, workers)
+
+
 def choi_isotropic_check(
     a_op, b_op, n_samples: int, rng: RngHandle, workers: int = 1
 ) -> ChoiCheckResult:
@@ -448,25 +509,16 @@ def choi_isotropic_check(
     |w><w'| (one shared unitary stream), assembled into the Choi matrix,
     and compared with a I / d + b |Omega><Omega|. The aggregate Monte
     Carlo error is the root sum of squared entrywise standard errors.
+    Each sample's Choi matrix is rank one, vec(U^dagger A U) times
+    vec((U^dagger B U)^T) / d, so the chunk moments come from centered
+    (n, d^2) factors and memory stays O(n d^2) rather than O(n d^4).
     """
     a_op = as_square(a_op, "a_op")
     b_op = as_square(b_op, "b_op")
     d = a_op.shape[0]
-    if b_op.shape[0] != d:
-        raise ValueError("operator dimensions differ")
-
-    def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
-        u = haar_unitary(d, handle, size=count)
-        udag = dagger(u)
-        left = udag @ a_op @ u
-        right = udag @ b_op @ u
-        # channel output on |w><w'| is (left column w) outer (right row w'),
-        # so the per-sample Choi matrix is a transposed tensor of the pair
-        choi = np.einsum("nio,npj->niojp", left, right) / d
-        return choi.reshape(count, d * d, d * d)
-
-    mean, stderr = _mc_moments(sample_fn, n_samples, rng, workers)
+    # undefined dimensions fail before any sampling
     consts = twirl_constants(a_op, b_op)
+    mean, stderr = _choi_moments(a_op, b_op, n_samples, rng, workers)
     omega = maximally_entangled_ket(d)
     analytic = consts.a * np.eye(d * d, dtype=complex) / d + consts.b * np.outer(
         omega, omega.conj()

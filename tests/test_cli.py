@@ -5,9 +5,9 @@ import pytest
 
 from dephwit import cli
 from dephwit.dephasing import dephase_total
-from dephwit.randmat import RngHandle, SpectrumEnsemble
+from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre
 from dephwit.states import from_pure, random_mixed
-from dephwit.witness import structured_average_grid
+from dephwit.witness import choi_isotropic_check, structured_average_grid, twirl_constants, twirl_mc
 
 GUE_CONFIG = """\
 d_S = 2
@@ -38,11 +38,11 @@ n_samples = 1100
 CONFIGS = {"gue": GUE_CONFIG, "poisson": POISSON_CONFIG}
 
 
-def _run(tmp_path, name, text, *extra):
+def _run(tmp_path, name, text, *extra, command="structured-average"):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
     out = tmp_path / f"{name}.json"
-    code = cli.main(["structured-average", "--config", str(cfg), "--output", str(out), *extra])
+    code = cli.main([command, "--config", str(cfg), "--output", str(out), *extra])
     return code, out
 
 
@@ -112,3 +112,83 @@ def test_seed_override_in_range_replaces_the_file_seed(tmp_path):
     code, out = _run(tmp_path, "gue", GUE_CONFIG, "--seed", str(2**64 - 1))
     assert code == 0
     assert json.loads(out.read_text())["seed"] == 2**64 - 1
+
+
+CHECK_CONFIG = """\
+d_S = 2
+d_E = 2
+seed = 13
+n_samples = 1100
+"""
+
+
+def _lemma_direct(seed, n_samples):
+    # operators from derive(1) in the order A, B, X; Monte Carlo from derive(2)
+    ops = RngHandle(seed).derive(1)
+    a_op, b_op, x = ginibre(4, ops), ginibre(4, ops), ginibre(4, ops)
+    consts = twirl_constants(a_op, b_op)
+    mean, stderr = twirl_mc(a_op, b_op, x, n_samples, RngHandle(seed).derive(2), return_stderr=True)
+    deviation = np.abs(mean - (consts.a * np.trace(x) * np.eye(4) + consts.b * x))
+    return {
+        "a_real": consts.a.real,
+        "a_imag": consts.a.imag,
+        "b_real": consts.b.real,
+        "b_imag": consts.b.imag,
+        "max_abs_error": float(deviation.max()),
+        "max_z_score": float((deviation / stderr).max()),
+        "n_samples": n_samples,
+    }
+
+
+def _choi_direct(seed, n_samples):
+    ops = RngHandle(seed).derive(1)
+    a_op, b_op = ginibre(4, ops), ginibre(4, ops)
+    result = choi_isotropic_check(a_op, b_op, n_samples, RngHandle(seed).derive(2))
+    return {
+        "residual": result.residual,
+        "mc_error": result.mc_error,
+        "error_ratio": result.residual / result.mc_error,
+        "a_real": result.constants.a.real,
+        "a_imag": result.constants.a.imag,
+        "b_real": result.constants.b.real,
+        "b_imag": result.constants.b.imag,
+        "n_samples": result.n_samples,
+    }
+
+
+DIRECT = {"lemma-check": _lemma_direct, "choi-check": _choi_direct}
+
+
+@pytest.mark.parametrize("command", sorted(DIRECT))
+def test_twirl_checks_are_identical_for_any_worker_count_and_match_a_direct_call(
+    tmp_path, monkeypatch, command
+):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    outputs = {}
+    for fmt in ("json", "csv"):
+        runs = []
+        for workers in (1, 2):
+            code, out = _run(
+                tmp_path, f"{fmt}{workers}", CHECK_CONFIG + f"workers = {workers}\n",
+                "--format", fmt, command=command,
+            )
+            assert code == 0
+            runs.append(out.read_bytes())
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        code, out = _run(tmp_path, f"{fmt}env", CHECK_CONFIG, "--format", fmt, command=command)
+        monkeypatch.delenv(cli.WORKERS_ENV)
+        assert code == 0
+        runs.append(out.read_bytes())
+        assert runs[0] == runs[1] == runs[2]
+        outputs[fmt] = runs[0].decode()
+
+    expected = DIRECT[command](13, 1100)
+    record = json.loads(outputs["json"])
+    assert (record["command"], record["seed"]) == (command, 13)
+    assert record["results"] == expected
+    lines = outputs["csv"].splitlines()
+    assert lines[0] == "key,value"
+    # 17 significant digits round-trip every float of the JSON results
+    rows = [line.split(",") for line in lines[1:]]
+    assert [key for key, _ in rows] == list(expected)
+    assert {key: json.loads(value) for key, value in rows} == expected

@@ -20,10 +20,12 @@ from dephwit.states import (
     random_mixed,
     random_pure,
 )
+from dephwit import witness
 from dephwit.dephasing import discord_delta
 from dephwit.witness import (
     MC_CHUNK,
     McEstimate,
+    _choi_moments,
     _mc_moments,
     choi_isotropic_check,
     haar_average_distance_sq,
@@ -591,3 +593,61 @@ def test_mc_results_identical_across_worker_counts():
     for a, b in zip(twirl_1, twirl_2):
         assert np.array_equal(a, b)
     assert choi_1 == choi_2
+
+
+def _materialized_choi(a_op, b_op):
+    # the dense per-sample Choi matrices, (count, d^2, d^2), as a reference
+    d = a_op.shape[0]
+
+    def sample_fn(handle, count):
+        u = haar_unitary(d, handle, size=count)
+        left = dagger(u) @ a_op @ u
+        right = dagger(u) @ b_op @ u
+        return np.einsum("nio,npj->niojp", left, right).reshape(count, d * d, d * d) / d
+
+    return sample_fn
+
+
+@pytest.mark.parametrize("case", ["random", "identity", "large_offset"])
+def test_choi_factored_moments_match_materialized_two_pass(case):
+    n = 2 * MC_CHUNK + 76
+    d = 3
+    rng = np_rng(187)
+    if case == "random":
+        a_op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        b_op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    elif case == "identity":
+        a_op = b_op = np.eye(d, dtype=complex)
+    else:
+        h = random_hermitian_np(rng, d)
+        a_op, b_op = 1e4 * np.eye(d) + h, 1e4 * np.eye(d) - h
+    handle = RngHandle(188)
+    mean, _ = _choi_moments(a_op, b_op, n, handle, workers=1)
+    mc_error = choi_isotropic_check(a_op, b_op, n, handle).mc_error
+    samples = _regenerate(_materialized_choi(a_op, b_op), n, handle)
+    expected_mean = samples.mean(axis=0)
+    assert np.linalg.norm(mean - expected_mean) <= 1e-12 * np.linalg.norm(expected_mean)
+    if case == "identity":
+        assert mc_error <= 1e-14  # every sample is |Omega><Omega| up to rounding
+    else:
+        expected = math.sqrt(float(samples.var(axis=0, ddof=1).sum()) / n)
+        assert mc_error == pytest.approx(expected, rel=1e-10 if case == "random" else 1e-8)
+
+
+def test_invalid_dimensions_fail_before_sampling(monkeypatch):
+    calls = []
+
+    def counting_haar(*args, **kwargs):
+        calls.append(args)
+        return haar_unitary(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "haar_unitary", counting_haar)
+    with pytest.raises(ValueError, match="undefined at dimension 1"):
+        choi_isotropic_check(np.eye(1), np.eye(1), 200_000, RngHandle(189))
+    with pytest.raises(ValueError, match="at least 2"):
+        theorem_mc_check(np.eye(1), 1, 1, 200_000, RngHandle(189))
+    with pytest.raises(ValueError, match="does not match"):
+        theorem_mc_check(np.eye(4), 2, 3, 200_000, RngHandle(189))
+    assert calls == []
+    choi_isotropic_check(np.eye(2), np.eye(2), 10, RngHandle(189))
+    assert len(calls) == 1  # the counter sees the sampler
