@@ -3,11 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from dephwit import cli
-from dephwit.dephasing import dephase_total
-from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre
-from dephwit.states import from_pure, random_mixed
-from dephwit.witness import choi_isotropic_check, structured_average_grid, twirl_constants, twirl_mc
+from dephwit import __version__, cli
+from dephwit.dephasing import dephase_total, discord_delta, eigenbasis_of_marginal, is_classical
+from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre, structured_evolution
+from dephwit.states import classical_state, from_pure, purity, random_mixed
+from dephwit.witness import (
+    choi_isotropic_check,
+    haar_average_distance_sq,
+    haar_witness_prefactor_sq,
+    structured_average_grid,
+    theorem_mc_check,
+    twirl_constants,
+    twirl_mc,
+    witness_trajectory,
+)
 
 GUE_CONFIG = """\
 d_S = 2
@@ -192,3 +201,349 @@ def test_twirl_checks_are_identical_for_any_worker_count_and_match_a_direct_call
     rows = [line.split(",") for line in lines[1:]]
     assert [key for key, _ in rows] == list(expected)
     assert {key: json.loads(value) for key, value in rows} == expected
+
+
+# ---------------------------------------------------------------------------
+# golden runs of the commands without a Monte Carlo grid
+
+
+def _dephased(state):
+    basis = eigenbasis_of_marginal(state)
+    return state, dephase_total(state, basis), basis
+
+
+def _discord_direct(state):
+    _, deph, basis = _dephased(state)
+    delta = discord_delta(state)
+    return {
+        "delta": delta,
+        "delta_sq": delta**2,
+        "purity": purity(state),
+        "purity_dephased": purity(deph),
+        "classical": int(is_classical(state)),
+        "degenerate_marginal": int(basis.degenerate),
+    }
+
+
+def _trajectory_direct(state, ensemble, seed, times):
+    state, deph, _ = _dephased(state)
+    se = structured_evolution(ensemble, RngHandle(seed).derive(1))
+    traj = witness_trajectory(state, deph, se, times)
+    return [
+        {"t": t, "hs_distance": h, "trace_distance": td}
+        for t, h, td in zip(traj.time_grid.tolist(), traj.hs_distance.tolist(), traj.trace_distance.tolist())
+    ]
+
+
+def _haar_direct(state, seed, n_samples):
+    state, deph, _ = _dephased(state)
+    delta = discord_delta(state)
+    est = haar_average_distance_sq(state, deph, n_samples, RngHandle(seed).derive(2))
+    rms, rms_err = est.rms()
+    predicted = haar_witness_prefactor_sq(state.d_s, state.d_e) * delta**2
+    return {
+        "mean_sq": est.mean,
+        "std_error": est.std_error,
+        "rms": rms,
+        "rms_std_error": rms_err,
+        "delta": delta,
+        "predicted_mean_sq": predicted,
+        "predicted_rms": predicted**0.5,
+        "z_score": (est.mean - predicted) / est.std_error,
+        "n_samples": n_samples,
+    }
+
+
+def _theorem_direct(seed, d_s, d_e, n_samples):
+    g = ginibre(d_s * d_e, RngHandle(seed).derive(1))
+    est, rhs = theorem_mc_check(0.5 * (g + g.conj().T), d_s, d_e, n_samples, RngHandle(seed).derive(2))
+    return {
+        "mc_mean": est.mean,
+        "mc_std_error": est.std_error,
+        "rhs": rhs,
+        "z_score": (est.mean - rhs) / est.std_error,
+        "n_samples": n_samples,
+    }
+
+
+PURE = np.array([0.6, 0, 0.48j, 0.64])
+
+# name -> (command, config text, literal config echo, direct API result)
+GOLDEN = {
+    "discord-classical": (
+        "discord",
+        "d_S = 2\nd_E = 3\nseed = 21\nprobabilities = [[0.1, 0.2, 0.05], [0.3, 0.25, 0.1]]\n",
+        {
+            "command": "discord", "d_S": 2, "d_E": 3, "seed": 21,
+            "probabilities": [[0.1, 0.2, 0.05], [0.3, 0.25, 0.1]],
+        },
+        lambda: _discord_direct(
+            classical_state(np.array([[0.1, 0.2, 0.05], [0.3, 0.25, 0.1]]))
+        ),
+    ),
+    "discord-mixed": (
+        "discord",
+        "d_S = 2\nd_E = 3\nseed = 22\nrandom_rank = 3\n",
+        {"command": "discord", "d_S": 2, "d_E": 3, "seed": 22, "random_rank": 3},
+        lambda: _discord_direct(random_mixed(2, 3, 3, RngHandle(22).derive(0))),
+    ),
+    "trajectory-explicit": (
+        "witness-trajectory",
+        "command = witness-trajectory\nd_S = 2\nd_E = 2\nseed = 23\n"
+        "pure = [0.6, 0, 0.48i, 0.64]\nensemble = explicit\nlevels = [0, 1, 2.5, 4]\n"
+        "mean_spacing = 0.5\ntime_start = 0\ntime_stop = 3\ntime_steps = 4\n",
+        {
+            "command": "witness-trajectory", "d_S": 2, "d_E": 2, "seed": 23,
+            "pure": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.48], [0.64, 0.0]],
+            "ensemble": "explicit", "mean_spacing": 0.5, "levels": [0.0, 1.0, 2.5, 4.0],
+            "time_start": 0.0, "time_stop": 3.0, "time_steps": 4,
+        },
+        lambda: _trajectory_direct(
+            from_pure(PURE, 2, 2),
+            SpectrumEnsemble("explicit", 4, 0.5, np.array([0, 1, 2.5, 4.0])),
+            23, np.linspace(0.0, 3.0, 4),
+        ),
+    ),
+    "trajectory-gue": (
+        "witness-trajectory",
+        "d_S = 2\nd_E = 2\nseed = 24\nrandom_rank = 2\nensemble = gue\n"
+        "time_start = 0.5\ntime_stop = 2\ntime_steps = 3\n",
+        {
+            "command": "witness-trajectory", "d_S": 2, "d_E": 2, "seed": 24,
+            "random_rank": 2, "ensemble": "gue", "mean_spacing": 1.0,
+            "time_start": 0.5, "time_stop": 2.0, "time_steps": 3,
+        },
+        lambda: _trajectory_direct(
+            random_mixed(2, 2, 2, RngHandle(24).derive(0)),
+            SpectrumEnsemble("gue", 4), 24, np.linspace(0.5, 2.0, 3),
+        ),
+    ),
+    "haar-average": (
+        "haar-average",
+        "d_S = 2\nd_E = 2\nseed = 25\npure = [0.6, 0, 0.48i, 0.64]\nn_samples = 1100\n",
+        {
+            "command": "haar-average", "d_S": 2, "d_E": 2, "seed": 25,
+            "pure": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.48], [0.64, 0.0]], "n_samples": 1100,
+        },
+        lambda: _haar_direct(from_pure(PURE, 2, 2), 25, 1100),
+    ),
+    "theorem-check": (
+        "theorem-check",
+        "d_S = 2\nd_E = 3\nseed = 26\nn_samples = 1100\n",
+        {"command": "theorem-check", "d_S": 2, "d_E": 3, "seed": 26, "n_samples": 1100},
+        lambda: _theorem_direct(26, 2, 3, 1100),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_runs_are_identical_for_any_worker_count_and_match_direct_calls(
+    tmp_path, monkeypatch, name
+):
+    command, text, echo, direct = GOLDEN[name]
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    outputs = {}
+    for fmt in ("json", "csv"):
+        runs = []
+        code, out = _run(tmp_path, f"{fmt}1", text + "workers = 1\n", "--format", fmt, command=command)
+        assert code == 0
+        runs.append(out.read_bytes())
+        # the output and format keys of the file in place of the flags
+        out = tmp_path / f"{fmt}2.out"
+        cfg = tmp_path / f"{fmt}2.cfg"
+        cfg.write_text(text + f"workers = 2\noutput = {out}\nformat = {fmt}\n")
+        assert cli.main([command, "--config", str(cfg)]) == 0
+        runs.append(out.read_bytes())
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        code, out = _run(tmp_path, f"{fmt}env", text, "--format", fmt, command=command)
+        monkeypatch.delenv(cli.WORKERS_ENV)
+        assert code == 0
+        runs.append(out.read_bytes())
+        assert runs[0] == runs[1] == runs[2]
+        outputs[fmt] = runs[0].decode()
+
+    expected = direct()
+    record = json.loads(outputs["json"])
+    assert sorted(record) == ["command", "config", "results", "seed", "version"]
+    assert (record["command"], record["seed"], record["version"]) == (command, echo["seed"], __version__)
+    assert record["config"] == echo
+    assert record["results"] == expected
+    lines = outputs["csv"].splitlines()
+    if isinstance(expected, dict):
+        assert lines[0] == "key,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [key for key, _ in rows] == list(expected)
+        assert {key: json.loads(value) for key, value in rows} == expected
+    else:
+        header = lines[0].split(",")
+        assert header == list(expected[0])
+        assert [dict(zip(header, map(json.loads, line.split(",")))) for line in lines[1:]] == expected
+
+
+# ---------------------------------------------------------------------------
+# error paths
+
+DIMS = "d_S = 2\nd_E = 2\nseed = 1\n"
+CHECK = DIMS + "n_samples = 4\n"
+STATE = DIMS + "pure = [0.6, 0, 0.48i, 0.64]\n"
+TRAJECTORY = STATE + "ensemble = gue\ntime_start = 0\ntime_stop = 1\ntime_steps = 2\n"
+EXPLICIT = STATE + "ensemble = explicit\ntime_start = 0\ntime_stop = 1\ntime_steps = 2\n"
+
+# (command, config text, the one message)
+CONFIG_ERRORS = [
+    ("theorem-check", CHECK + "this line\n", "line 5: expected 'key = value'"),
+    ("theorem-check", CHECK + " = 3\n", "line 5: expected 'key = value'"),
+    ("theorem-check", CHECK + "colour = red\n", "colour: unknown key (line 5)"),
+    ("theorem-check", CHECK + "seed = 2\n", "seed: duplicate key (line 5)"),
+    ("theorem-check", CHECK + "workers = [4\n", "workers: unterminated array (line 5)"),
+    ("theorem-check", CHECK + "workers = 4]\n", "workers: unbalanced brackets (line 5)"),
+    ("theorem-check", CHECK + "workers = [[4]\n", "workers: unbalanced brackets (line 5)"),
+    ("theorem-check", CHECK + "workers =\n", "workers: empty value (line 5)"),
+    ("theorem-check", CHECK + "command = dance\n", "command: unknown command 'dance'"),
+    (
+        "theorem-check", CHECK + "command = discord\n",
+        "command: config says 'discord' but 'theorem-check' was requested",
+    ),
+    ("theorem-check", CHECK + "pure = [1, 0, 0, 0]\n", "pure: not used by command 'theorem-check'"),
+    ("discord", STATE + "ensemble = gue\n", "ensemble: not used by command 'discord'"),
+    ("haar-average", STATE + "n_samples = 4\nspectrum_mode = quenched\n",
+     "spectrum_mode: not used by command 'haar-average'"),
+    ("discord", STATE + "time_steps = 3\n", "time_steps: not used by command 'discord'"),
+    ("theorem-check", "d_S = two\nd_E = 2\nseed = 1\nn_samples = 4\n", "d_S: expected an integer, got 'two'"),
+    ("theorem-check", "d_S = 2.0\nd_E = 2\nseed = 1\nn_samples = 4\n", "d_S: expected an integer, got 2.0"),
+    ("theorem-check", "d_S = 0\nd_E = 2\nseed = 1\nn_samples = 4\n", "d_S: must be at least 1, got 0"),
+    ("theorem-check", "d_S = 2\nd_E = 2\nseed = -1\nn_samples = 4\n", "seed: must be at least 0, got -1"),
+    (
+        "theorem-check", f"d_S = 2\nd_E = 2\nseed = {2**64}\nn_samples = 4\n",
+        "seed: must be at most 18446744073709551615, got 18446744073709551616",
+    ),
+    ("theorem-check", "d_S = 2\nseed = 1\nn_samples = 4\n", "d_E: required"),
+    ("theorem-check", "d_S = 2\nd_E = 2\nn_samples = 4\n", "seed: required"),
+    ("theorem-check", DIMS, "n_samples: required by command 'theorem-check'"),
+    ("choi-check", DIMS + "n_samples = 1\n", "n_samples: must be at least 2, got 1"),
+    ("lemma-check", CHECK + "workers = 0\n", "workers: must be at least 1, got 0"),
+    ("lemma-check", CHECK + "format = xml\n", "format: must be one of csv, json, got 'xml'"),
+    (
+        "structured-average", TRAJECTORY + "n_samples = 4\nspectrum_mode = frozen\n",
+        "spectrum_mode: must be one of annealed, quenched, got 'frozen'",
+    ),
+    ("discord", DIMS, "state_spec: give exactly one of pure, probabilities, random_rank"),
+    (
+        "discord", STATE + "random_rank = 2\nprobabilities = [[0.5, 0], [0, 0.5]]\n",
+        "state_spec: ambiguous: probabilities and pure and random_rank are mutually exclusive",
+    ),
+    ("discord", DIMS + "pure = [1, 0]\n", "pure: needs 4 amplitudes, got 2"),
+    ("discord", DIMS + "pure = [1, 1, 0, 0]\n", "pure: vector is not normalized (norm 1.4142135623730951)"),
+    ("discord", DIMS + "pure = 1\n", "pure: expected a nonempty bracket list of amplitudes"),
+    ("discord", DIMS + "pure = []\n", "pure: expected a nonempty bracket list of amplitudes"),
+    ("discord", DIMS + "pure = [1, x, 0, 0]\n", "pure: amplitude 'x' is not a number"),
+    ("discord", DIMS + "pure = [1, [0], 0, 0]\n", "pure: amplitude [0] is not a number"),
+    ("discord", DIMS + "probabilities = [[0.5, 0.5]]\n", "probabilities: table must be 2 x 2, got 1 x 2"),
+    ("discord", DIMS + "probabilities = [[0.5, -0.1], [0.3, 0.3]]\n", "probabilities: entries must be nonnegative"),
+    (
+        "discord", DIMS + "probabilities = [[0.5, 0.25], [0.125, 0.0625]]\n",
+        "probabilities: entries sum to 0.9375, expected 1",
+    ),
+    ("discord", DIMS + "probabilities = [0.5, 0.5]\n", "probabilities: expected a nested bracket table [[...],[...]]"),
+    ("discord", DIMS + "probabilities = [[0.5, 0.5], [0]]\n", "probabilities: rows have unequal lengths"),
+    ("discord", DIMS + "probabilities = [[0.5, a], [0, 0]]\n", "probabilities: entry 'a' is not a real number"),
+    ("discord", DIMS + "random_rank = 5\n", "random_rank: must be at most d_S*d_E = 4"),
+    ("discord", DIMS + "random_rank = 0\n", "random_rank: must be at least 1, got 0"),
+    (
+        "witness-trajectory", STATE + "time_start = 0\ntime_stop = 1\ntime_steps = 2\n",
+        "ensemble: required by command 'witness-trajectory'",
+    ),
+    (
+        "witness-trajectory", TRAJECTORY.replace("gue", "goe"),
+        "ensemble: must be one of poisson, gue, explicit, got 'goe'",
+    ),
+    ("witness-trajectory", TRAJECTORY + "mean_spacing = 0\n", "mean_spacing: must be positive"),
+    ("witness-trajectory", TRAJECTORY + "mean_spacing = inf\n", "mean_spacing: must be finite"),
+    ("witness-trajectory", TRAJECTORY + "mean_spacing = fast\n", "mean_spacing: expected a real number, got 'fast'"),
+    ("witness-trajectory", EXPLICIT, "levels: required by the explicit ensemble"),
+    ("witness-trajectory", EXPLICIT + "levels = [0, 1]\n", "levels: needs 4 levels, got 2"),
+    ("witness-trajectory", TRAJECTORY + "levels = [0, 1, 2, 3]\n", "levels: only meaningful for the explicit ensemble"),
+    ("witness-trajectory", EXPLICIT + "levels = 3\n", "levels: expected a nonempty bracket list of real numbers"),
+    ("witness-trajectory", EXPLICIT + "levels = [0, 1i, 2, 3]\n", "levels: entry 1j is not a real number"),
+    (
+        "witness-trajectory", TRAJECTORY.replace("time_stop = 1\n", ""),
+        "time_stop: required by command 'witness-trajectory'",
+    ),
+    (
+        "structured-average", TRAJECTORY.replace("time_start = 0", "time_start = soon") + "n_samples = 4\n",
+        "time_start: expected a real number, got 'soon'",
+    ),
+    (
+        "witness-trajectory", TRAJECTORY.replace("time_steps = 2", "time_steps = 0"),
+        "time_steps: must be at least 1, got 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, text, message", CONFIG_ERRORS)
+def test_config_errors_exit_2_with_one_exact_message_and_write_nothing(
+    tmp_path, capsys, command, text, message
+):
+    code, out = _run(tmp_path, "bad", text, command=command)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+
+
+def test_a_multi_error_config_reports_every_message_in_any_order(tmp_path, capsys):
+    text = (
+        "d_S = 0\nd_E = two\ncolour = red\nseed = 1\nseed = 2\n"
+        "pure = [1, 0]\nrandom_rank = 2\nn_samples = 1\nlevels = [1]\n"
+    )
+    code, out = _run(tmp_path, "bad", text, command="discord")
+    assert code == 2
+    assert sorted(capsys.readouterr().err.splitlines()) == sorted(
+        f"config error: {message}"
+        for message in [
+            "colour: unknown key (line 3)",
+            "seed: duplicate key (line 5)",
+            "n_samples: not used by command 'discord'",
+            "levels: not used by command 'discord'",
+            "d_S: must be at least 1, got 0",
+            "d_E: expected an integer, got 'two'",
+            "n_samples: must be at least 2, got 1",
+            "state_spec: ambiguous: pure and random_rank are mutually exclusive",
+            "levels: only meaningful for the explicit ensemble",
+        ]
+    )
+    assert not out.exists()
+
+
+def test_an_unreadable_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    out = tmp_path / "out.json"
+    assert cli.main(["discord", "--config", str(missing), "--output", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: cannot read {missing}: ")
+    assert not out.exists()
+
+
+def test_a_missing_output_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CHECK)
+    assert cli.main(["theorem-check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: output: required (set the key or pass --output)"
+    ]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("x", "error: DEPHWIT_WORKERS must be an integer, got 'x'"),
+        ("0", "error: DEPHWIT_WORKERS must be at least 1, got 0"),
+    ],
+)
+def test_a_bad_workers_variable_is_a_run_error(tmp_path, capsys, monkeypatch, value, message):
+    monkeypatch.setenv(cli.WORKERS_ENV, value)
+    code, out = _run(tmp_path, "c", CHECK, command="theorem-check")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
