@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     HermitianEigensystem,
-    conj_by_unitary,
     dagger,
     eig_hermitian,
     hs_inner,
@@ -46,7 +45,6 @@ from .randmat import (
     RngHandle,
     SpectrumEnsemble,
     StructuredEvolution,
-    evolve,
     ginibre,
     haar_unitary,
     level_transform_f,
@@ -76,7 +74,6 @@ from .witness import (
 __all__ = [
     "__version__",
     "HermitianEigensystem",
-    "conj_by_unitary",
     "dagger",
     "eig_hermitian",
     "hs_inner",
@@ -102,7 +99,6 @@ __all__ = [
     "RngHandle",
     "SpectrumEnsemble",
     "StructuredEvolution",
-    "evolve",
     "ginibre",
     "haar_unitary",
     "level_transform_f",

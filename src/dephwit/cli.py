@@ -5,6 +5,12 @@ Usage: ``dephwit <command> --config <path> [--seed N] [--output PATH]
 spawns fixed substreams for state generation, operator draws, and the
 Monte Carlo chunks, so identical configs produce byte-identical output
 files for any worker count. Wall-clock timing goes to stderr only.
+
+The Monte Carlo commands run on the ``workers`` key of the config, else
+on the ``DEPHWIT_WORKERS`` environment variable, else on one thread.
+Exit status: 0 on success, 1 when the run fails or its output cannot be
+written (``DEPHWIT_WORKERS`` not a positive integer included), 2 when the
+config cannot be read or is invalid; each problem is one line on stderr.
 """
 
 from __future__ import annotations
@@ -15,13 +21,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, ConfigError, ExperimentConfig, parse_config
+from .config import COMMANDS, FORMATS, ConfigError, ExperimentConfig, parse_config
 from .dephasing import CLASSICALITY_TOL, dephase_total, eigenbasis_of_marginal
 from .linalg import dagger, hs_norm
 from .randmat import RngHandle, SpectrumEnsemble, ginibre, structured_evolution
@@ -43,32 +48,6 @@ WORKERS_ENV = "DEPHWIT_WORKERS"
 _STATE_STREAM = 0
 _OPERATOR_STREAM = 1
 _MC_STREAM = 2
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Completed run: config echo, versioned results, timing.
-
-    The serialized output contains only the deterministic fields; the
-    wall-clock duration stays in memory (and on stderr) so repeated runs
-    of one config are byte-identical.
-    """
-
-    command: str
-    config: dict
-    version: str
-    seed: int
-    results: dict | list
-    duration_s: float
-
-    def to_output_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "version": self.version,
-            "seed": self.seed,
-            "results": self.results,
-        }
 
 
 def _effective_workers(config: ExperimentConfig) -> int:
@@ -108,6 +87,7 @@ def _time_grid(config: ExperimentConfig) -> np.ndarray:
 
 
 def _dephased_pair(config: ExperimentConfig, rng: RngHandle):
+    """The state, its dephased image, the basis and the discord delta."""
     state = _build_state(config, rng)
     basis = eigenbasis_of_marginal(state)
     if basis.degenerate:
@@ -116,7 +96,8 @@ def _dephased_pair(config: ExperimentConfig, rng: RngHandle):
             "the dephasing basis follows the deterministic tie-broken convention",
             file=sys.stderr,
         )
-    return state, dephase_total(state, basis), basis
+    deph = dephase_total(state, basis)
+    return state, deph, basis, float(hs_norm(state.rho - deph.rho))
 
 
 def _safe_z(mean: float, std_error: float, reference: float) -> float:
@@ -126,8 +107,7 @@ def _safe_z(mean: float, std_error: float, reference: float) -> float:
 
 
 def _run_discord(config: ExperimentConfig, master: RngHandle, workers: int):
-    state, deph, basis = _dephased_pair(config, master.derive(_STATE_STREAM))
-    delta = float(hs_norm(state.rho - deph.rho))
+    state, deph, basis, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
     return {
         "delta": delta,
         "delta_sq": delta**2,
@@ -139,7 +119,7 @@ def _run_discord(config: ExperimentConfig, master: RngHandle, workers: int):
 
 
 def _run_witness_trajectory(config: ExperimentConfig, master: RngHandle, workers: int):
-    state, deph, _ = _dephased_pair(config, master.derive(_STATE_STREAM))
+    state, deph, _, _ = _dephased_pair(config, master.derive(_STATE_STREAM))
     se = structured_evolution(_build_ensemble(config), master.derive(_OPERATOR_STREAM))
     traj = witness_trajectory(state, deph, se, _time_grid(config))
     return [
@@ -153,8 +133,7 @@ def _run_witness_trajectory(config: ExperimentConfig, master: RngHandle, workers
 
 
 def _run_haar_average(config: ExperimentConfig, master: RngHandle, workers: int):
-    state, deph, _ = _dephased_pair(config, master.derive(_STATE_STREAM))
-    delta = float(hs_norm(state.rho - deph.rho))
+    state, deph, _, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
     est = haar_average_distance_sq(
         state, deph, config.n_samples, master.derive(_MC_STREAM), workers=workers
     )
@@ -237,8 +216,7 @@ def _run_choi_check(config: ExperimentConfig, master: RngHandle, workers: int):
 
 
 def _run_structured_average(config: ExperimentConfig, master: RngHandle, workers: int):
-    state, deph, _ = _dephased_pair(config, master.derive(_STATE_STREAM))
-    delta = float(hs_norm(state.rho - deph.rho))
+    state, deph, _, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
     ensemble = _build_ensemble(config)
     times = _time_grid(config)
     estimates = structured_average_grid(
@@ -273,21 +251,21 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> RunRecord:
-    """Execute one validated config and return the completed record."""
+def run(config: ExperimentConfig) -> dict:
+    """Execute one validated config and return the output record.
+
+    The record holds only deterministic fields, so repeated runs of one
+    config serialize byte-identically.
+    """
     workers = _effective_workers(config)
-    started = time.perf_counter()
-    master = RngHandle(config.seed)
-    results = _RUNNERS[config.command](config, master, workers)
-    duration = time.perf_counter() - started
-    return RunRecord(
-        command=config.command,
-        config=config.to_dict(),
-        version=__version__,
-        seed=config.seed,
-        results=results,
-        duration_s=duration,
-    )
+    results = _RUNNERS[config.command](config, RngHandle(config.seed), workers)
+    return {
+        "command": config.command,
+        "config": config.to_dict(),
+        "version": __version__,
+        "seed": config.seed,
+        "results": results,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +295,12 @@ def render_csv(results: dict | list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(record: RunRecord) -> str:
-    return json.dumps(record.to_output_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+def render_json(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_output(record: RunRecord, path: str, fmt: str) -> None:
-    text = render_json(record) if fmt == "json" else render_csv(record.results)
+def write_output(record: dict, path: str, fmt: str) -> None:
+    text = render_json(record) if fmt == "json" else render_csv(record["results"])
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -342,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--output", help="override the output path")
-        p.add_argument("--format", choices=("csv", "json"), help="override the output format")
+        p.add_argument("--format", choices=FORMATS, help="override the output format")
     return parser
 
 
@@ -364,15 +342,20 @@ def main(argv=None) -> int:
     if config.output is None:
         print("config error: output: required (set the key or pass --output)", file=sys.stderr)
         return 2
+    started = time.perf_counter()
     try:
         record = run(config)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_output(record, config.output, config.format)
+    duration = time.perf_counter() - started
+    try:
+        write_output(record, config.output, config.format)
+    except OSError as exc:
+        print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
+        return 1
     print(
-        f"{config.command}: wrote {config.output} in {record.duration_s:.3f}s "
-        f"(seed {config.seed})",
+        f"{config.command}: wrote {config.output} in {duration:.3f}s (seed {config.seed})",
         file=sys.stderr,
     )
     return 0

@@ -3,16 +3,19 @@
 The format is line-oriented: one ``key = value`` per line, ``#`` starts
 a comment, arrays are bracketed comma lists (nested for tables), and
 complex amplitudes are written like ``0.5+0.25i`` (whitespace anywhere).
-Unknown keys are rejected and every problem is reported, not just the
-first.
+``KEYS`` lists every key but ``command`` with its check, default, echo
+and the commands that accept or require it. Unknown keys are rejected,
+and every problem is reported, in no fixed order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
+
+from .randmat import ENSEMBLE_KINDS
 
 COMMANDS = (
     "discord",
@@ -24,31 +27,8 @@ COMMANDS = (
     "structured-average",
 )
 
-GLOBAL_KEYS = {"command", "d_S", "d_E", "seed", "output", "format", "workers"}
-STATE_KEYS = {"pure", "probabilities", "random_rank"}
-ENSEMBLE_KEYS = {"ensemble", "mean_spacing", "levels"}
-TIME_KEYS = {"time_start", "time_stop", "time_steps"}
-
-STATE_COMMANDS = {"discord", "witness-trajectory", "haar-average", "structured-average"}
-ENSEMBLE_COMMANDS = {"witness-trajectory", "structured-average"}
-TIME_COMMANDS = {"witness-trajectory", "structured-average"}
-SAMPLE_COMMANDS = {"haar-average", "theorem-check", "lemma-check", "choi-check", "structured-average"}
-
-_EXTRA_KEYS = {
-    "discord": STATE_KEYS,
-    "witness-trajectory": STATE_KEYS | ENSEMBLE_KEYS | TIME_KEYS,
-    "haar-average": STATE_KEYS | {"n_samples"},
-    "theorem-check": {"n_samples"},
-    "lemma-check": {"n_samples"},
-    "choi-check": {"n_samples"},
-    "structured-average": STATE_KEYS | ENSEMBLE_KEYS | TIME_KEYS | {"n_samples", "spectrum_mode"},
-}
-
-ALL_KEYS = GLOBAL_KEYS | STATE_KEYS | ENSEMBLE_KEYS | TIME_KEYS | {"n_samples", "spectrum_mode"}
-
 FORMATS = ("csv", "json")
 SPECTRUM_MODES = ("annealed", "quenched")
-ENSEMBLES = ("poisson", "gue", "explicit")
 SEED_MAX = 2**64 - 1
 
 
@@ -62,26 +42,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run description for every CLI command."""
+    """Validated run description for every CLI command; see ``KEYS``."""
 
     command: str
     d_s: int
     d_e: int
     seed: int
-    pure: np.ndarray | None = None
-    probabilities: np.ndarray | None = None
-    random_rank: int | None = None
-    ensemble_kind: str | None = None
-    mean_spacing: float = 1.0
-    explicit_levels: np.ndarray | None = None
-    time_start: float | None = None
-    time_stop: float | None = None
-    time_steps: int | None = None
-    n_samples: int | None = None
-    output: str | None = None
-    format: str = "json"
-    workers: int | None = None
-    spectrum_mode: str = "annealed"
+    pure: np.ndarray | None
+    probabilities: np.ndarray | None
+    random_rank: int | None
+    ensemble_kind: str | None
+    mean_spacing: float
+    explicit_levels: np.ndarray | None
+    time_start: float | None
+    time_stop: float | None
+    time_steps: int | None
+    n_samples: int | None
+    output: str | None
+    format: str
+    workers: int | None
+    spectrum_mode: str
 
     def with_overrides(
         self,
@@ -90,56 +70,29 @@ class ExperimentConfig:
         format: str | None = None,
     ) -> "ExperimentConfig":
         """Copy with the given fields replaced; a seed is range-checked as in a file."""
-        updates: dict[str, Any] = {}
         if seed is not None:
-            errors: list[str] = []
-            _Collector({"seed": seed}, errors).get_int("seed", minimum=0, maximum=SEED_MAX)
-            if errors:
-                raise ConfigError(errors)
-            updates["seed"] = seed
-        if output is not None:
-            updates["output"] = output
-        if format is not None:
-            updates["format"] = format
-        return replace(self, **updates) if updates else self
+            try:
+                _KEY["seed"].check(seed)
+            except ValueError as exc:
+                raise ConfigError([f"seed: {exc}"]) from None
+        updates = {"seed": seed, "output": output, "format": format}
+        return replace(self, **{k: v for k, v in updates.items() if v is not None})
 
     def to_dict(self) -> dict:
-        """JSON-safe echo of the experiment definition.
-
-        Serialization and scheduling fields (output, format, workers) are
-        left out: they must not influence the results payload, and the
-        echo has to stay byte-identical across worker counts.
-        """
-        out: dict[str, Any] = {
-            "command": self.command,
-            "d_S": self.d_s,
-            "d_E": self.d_e,
-            "seed": self.seed,
-        }
-        if self.pure is not None:
-            out["pure"] = [[float(z.real), float(z.imag)] for z in self.pure]
-        if self.probabilities is not None:
-            out["probabilities"] = [[float(v) for v in row] for row in self.probabilities]
-        if self.random_rank is not None:
-            out["random_rank"] = self.random_rank
-        if self.ensemble_kind is not None:
-            out["ensemble"] = self.ensemble_kind
-            out["mean_spacing"] = self.mean_spacing
-        if self.explicit_levels is not None:
-            out["levels"] = [float(v) for v in self.explicit_levels]
-        if self.time_steps is not None:
-            out["time_start"] = self.time_start
-            out["time_stop"] = self.time_stop
-            out["time_steps"] = self.time_steps
-        if self.n_samples is not None:
-            out["n_samples"] = self.n_samples
-        if self.command == "structured-average":
-            out["spectrum_mode"] = self.spectrum_mode
+        """JSON-safe echo of the experiment definition: the command and
+        each set key of ``KEYS`` that the command accepts and echoes."""
+        out: dict[str, Any] = {"command": self.command}
+        for key in KEYS:
+            value = getattr(self, key.field)
+            if isinstance(value, np.ndarray) and np.iscomplexobj(value):
+                value = np.stack([value.real, value.imag], axis=-1)  # amplitudes as [re, im] pairs
+            if key.echo and self.command in key.commands and value is not None:
+                out[key.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
 
 # ---------------------------------------------------------------------------
-# value parsing
+# value parsing and the key table
 
 
 def _split_top_level(body: str) -> list[str]:
@@ -199,109 +152,125 @@ def parse_value(raw: str):
     return _parse_scalar(raw)
 
 
-# ---------------------------------------------------------------------------
-# config assembly
+@dataclass(frozen=True)
+class Key:
+    """One file key: the `ExperimentConfig` field it sets; ``check`` returns
+    the value or raises ValueError with the message; every command in
+    ``commands`` accepts the key and, when ``required``, needs it."""
+
+    name: str
+    field: str
+    check: Callable[[Any], Any]
+    commands: tuple[str, ...]
+    required: bool = False
+    default: Any = None
+    echo: bool = True
 
 
-class _Collector:
-    def __init__(self, entries: dict, errors: list[str]):
-        self.entries = entries
-        self.errors = errors
-
-    def error(self, key: str, message: str) -> None:
-        self.errors.append(f"{key}: {message}")
-
-    def get_int(self, key: str, minimum=None, maximum=None):
-        if key not in self.entries:
-            return None
-        value = self.entries[key]
+def _integer(minimum: int, maximum: int | None = None):
+    def check(value):
         if not isinstance(value, int):
-            self.error(key, f"expected an integer, got {value!r}")
-            return None
-        if minimum is not None and value < minimum:
-            self.error(key, f"must be at least {minimum}, got {value}")
-            return None
+            raise ValueError(f"expected an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:
-            self.error(key, f"must be at most {maximum}, got {value}")
-            return None
+            raise ValueError(f"must be at most {maximum}, got {value}")
         return value
 
-    def get_float(self, key: str):
-        if key not in self.entries:
-            return None
-        value = self.entries[key]
+    return check
+
+
+def _real(positive: bool = False):
+    def check(value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.error(key, f"expected a real number, got {value!r}")
-            return None
+            raise ValueError(f"expected a real number, got {value!r}")
         value = float(value)
         if not np.isfinite(value):
-            self.error(key, "must be finite")
-            return None
+            raise ValueError("must be finite")
+        if positive and value <= 0.0:
+            raise ValueError("must be positive")
         return value
 
-    def get_choice(self, key: str, options):
-        if key not in self.entries:
-            return None
-        value = self.entries[key]
+    return check
+
+
+def _choice(options: tuple[str, ...]):
+    def check(value):
         if value not in options:
-            self.error(key, f"must be one of {', '.join(options)}, got {value!r}")
-            return None
+            raise ValueError(f"must be one of {', '.join(options)}, got {value!r}")
         return value
 
-    def get_amplitudes(self, key: str):
-        if key not in self.entries:
-            return None
-        value = self.entries[key]
-        if not isinstance(value, list) or not value:
-            self.error(key, "expected a nonempty bracket list of amplitudes")
-            return None
-        amps = []
-        for item in value:
-            if isinstance(item, (int, float, complex)) and not isinstance(item, bool):
-                amps.append(complex(item))
-            else:
-                self.error(key, f"amplitude {item!r} is not a number")
-                return None
-        return np.asarray(amps, dtype=complex)
+    return check
 
-    def get_real_list(self, key: str):
-        if key not in self.entries:
-            return None
-        value = self.entries[key]
-        if not isinstance(value, list) or not value:
-            self.error(key, "expected a nonempty bracket list of real numbers")
-            return None
-        vals = []
-        for item in value:
-            if isinstance(item, (int, float)) and not isinstance(item, bool):
-                vals.append(float(item))
-            else:
-                self.error(key, f"entry {item!r} is not a real number")
-                return None
-        return np.asarray(vals, dtype=float)
 
-    def get_table(self, key: str):
-        if key not in self.entries:
-            return None
-        value = self.entries[key]
-        if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
-            self.error(key, "expected a nested bracket table [[...],[...]]")
-            return None
-        width = len(value[0])
-        rows = []
-        for row in value:
-            if len(row) != width:
-                self.error(key, "rows have unequal lengths")
-                return None
-            entries = []
+def _numbers(dtype, expected: str, table: bool = False):
+    """Check of a list key, or of a table when ``table``: a nonempty list,
+    equal row lengths, numbers (real unless ``dtype`` is complex), then
+    all finite. A NaN passes the sum and norm checks and would fail only
+    in the run, as a misleading "not Hermitian" error."""
+    kinds, what, noun = (int, float), "entry", "a real number"
+    if dtype is complex:
+        kinds, what, noun = (int, float, complex), "amplitude", "a number"
+
+    def check(value) -> np.ndarray:
+        rows = value if table else [value]
+        if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in rows):
+            raise ValueError(f"expected {expected}")
+        for row in rows:
+            if len(row) != len(rows[0]):
+                raise ValueError("rows have unequal lengths")
             for item in row:
-                if isinstance(item, (int, float)) and not isinstance(item, bool):
-                    entries.append(float(item))
-                else:
-                    self.error(key, f"entry {item!r} is not a real number")
-                    return None
-            rows.append(entries)
-        return np.asarray(rows, dtype=float)
+                if isinstance(item, bool) or not isinstance(item, kinds):
+                    raise ValueError(f"{what} {item!r} is not {noun}")
+        array = np.asarray(rows, dtype=dtype)
+        if not np.isfinite(array).all():
+            bad = next(item for row in rows for item in row if not np.isfinite(item))
+            raise ValueError(f"{what} {bad!r} is not finite")
+        return array if table else array[0]
+
+    return check
+
+
+_amplitudes = _numbers(complex, "a nonempty bracket list of amplitudes")
+_real_list = _numbers(float, "a nonempty bracket list of real numbers")
+_table = _numbers(float, "a nested bracket table [[...],[...]]", table=True)
+
+KEYS = (
+    Key("d_S", "d_s", _integer(1), COMMANDS, required=True),
+    Key("d_E", "d_e", _integer(1), COMMANDS, required=True),
+    Key("seed", "seed", _integer(0, SEED_MAX), COMMANDS, required=True),
+    # not echoed: results files stay byte-identical across outputs, formats and worker counts
+    Key("output", "output", str, COMMANDS, echo=False),
+    Key("format", "format", _choice(FORMATS), COMMANDS, default="json", echo=False),
+    Key("workers", "workers", _integer(1), COMMANDS, echo=False),
+    # the state: exactly one of these three
+    Key("pure", "pure", _amplitudes,
+        ("discord", "witness-trajectory", "haar-average", "structured-average")),
+    Key("probabilities", "probabilities", _table,
+        ("discord", "witness-trajectory", "haar-average", "structured-average")),
+    Key("random_rank", "random_rank", _integer(1),
+        ("discord", "witness-trajectory", "haar-average", "structured-average")),
+    # the structured evolution and its time grid
+    Key("ensemble", "ensemble_kind", _choice(ENSEMBLE_KINDS),
+        ("witness-trajectory", "structured-average"), required=True),
+    Key("mean_spacing", "mean_spacing", _real(positive=True),
+        ("witness-trajectory", "structured-average"), default=1.0),
+    Key("levels", "explicit_levels", _real_list, ("witness-trajectory", "structured-average")),
+    Key("time_start", "time_start", _real(), ("witness-trajectory", "structured-average"),
+        required=True),
+    Key("time_stop", "time_stop", _real(), ("witness-trajectory", "structured-average"),
+        required=True),
+    Key("time_steps", "time_steps", _integer(1), ("witness-trajectory", "structured-average"),
+        required=True),
+    # Monte Carlo
+    Key("n_samples", "n_samples", _integer(2),
+        ("haar-average", "theorem-check", "lemma-check", "choi-check", "structured-average"),
+        required=True),
+    Key("spectrum_mode", "spectrum_mode", _choice(SPECTRUM_MODES), ("structured-average",),
+        default="annealed"),
+)
+
+_KEY = {key.name: key for key in KEYS}
 
 
 def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
@@ -320,135 +289,81 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
         key = key.strip()
         if not sep or not key:
             errors.append(f"line {lineno}: expected 'key = value'")
-            continue
-        if key not in ALL_KEYS:
+        elif key != "command" and key not in _KEY:
             errors.append(f"{key}: unknown key (line {lineno})")
-            continue
-        if key in entries:
+        elif key in entries:
             errors.append(f"{key}: duplicate key (line {lineno})")
-            continue
-        try:
-            entries[key] = parse_value(raw_value)
-        except ValueError as exc:
-            errors.append(f"{key}: {exc} (line {lineno})")
+        else:
+            try:
+                entries[key] = parse_value(raw_value)
+            except ValueError as exc:
+                errors.append(f"{key}: {exc} (line {lineno})")
 
     file_command = entries.get("command")
-    if file_command is not None and file_command not in COMMANDS:
-        errors.append(f"command: unknown command {file_command!r}")
-        file_command = None
-    if command is not None and command not in COMMANDS:
-        errors.append(f"command: unknown command {command!r}")
-        command = None
-    if command is not None and file_command is not None and command != file_command:
-        errors.append(
-            f"command: config says {file_command!r} but {command!r} was requested"
-        )
-    cmd = command or file_command
-    if cmd is None:
+    for name in (file_command, command):
+        if name is not None and name not in COMMANDS:
+            errors.append(f"command: unknown command {name!r}")
+    known = [name for name in (command, file_command) if name in COMMANDS]
+    if len(set(known)) > 1:
+        errors.append(f"command: config says {file_command!r} but {command!r} was requested")
+    if not known:
         if not any(e.startswith("command:") for e in errors):
             errors.append("command: missing")
         raise ConfigError(errors)
+    cmd = known[0]
 
-    allowed = GLOBAL_KEYS | _EXTRA_KEYS[cmd]
-    for key in entries:
-        if key not in allowed:
-            errors.append(f"{key}: not used by command '{cmd}'")
+    # a key that fails its check keeps its default, which no check below reads
+    values = {key.field: key.default for key in KEYS}
+    for key in KEYS:
+        if key.name not in entries:
+            if key.required and cmd in key.commands:
+                by = "" if key.commands == COMMANDS else f" by command '{cmd}'"
+                errors.append(f"{key.name}: required{by}")
+            continue
+        if cmd not in key.commands:
+            errors.append(f"{key.name}: not used by command '{cmd}'")
+        try:
+            values[key.field] = key.check(entries[key.name])
+        except (ValueError, OverflowError) as exc:  # an integer too large for a float overflows
+            errors.append(f"{key.name}: {exc}")
 
-    col = _Collector(entries, errors)
-    d_s = col.get_int("d_S", minimum=1)
-    d_e = col.get_int("d_E", minimum=1)
-    seed = col.get_int("seed", minimum=0, maximum=SEED_MAX)
-    for key, value in (("d_S", d_s), ("d_E", d_e), ("seed", seed)):
-        if key not in entries:
-            col.error(key, "required")
-    n_samples = col.get_int("n_samples", minimum=2)
-    if cmd in SAMPLE_COMMANDS and "n_samples" not in entries:
-        col.error("n_samples", f"required by command '{cmd}'")
-    workers = col.get_int("workers", minimum=1)
-    fmt = col.get_choice("format", FORMATS) or "json"
-    output = entries.get("output")
-    if output is not None and not isinstance(output, str):
-        output = str(output)
-    spectrum_mode = col.get_choice("spectrum_mode", SPECTRUM_MODES) or "annealed"
+    config = ExperimentConfig(command=cmd, **values)
+    dim = config.d_s * config.d_e if (config.d_s and config.d_e) else None
+    given = sorted({"pure", "probabilities", "random_rank"} & entries.keys())
+    if cmd in _KEY["pure"].commands:
+        if not given:
+            errors.append("state_spec: give exactly one of pure, probabilities, random_rank")
+        elif len(given) > 1:
+            errors.append(f"state_spec: ambiguous: {' and '.join(given)} are mutually exclusive")
 
-    pure = col.get_amplitudes("pure")
-    probabilities = col.get_table("probabilities")
-    random_rank = col.get_int("random_rank", minimum=1)
-    given_state_keys = sorted(STATE_KEYS & entries.keys())
-    if cmd in STATE_COMMANDS:
-        if not given_state_keys:
-            col.error("state_spec", "give exactly one of pure, probabilities, random_rank")
-        elif len(given_state_keys) > 1:
-            col.error(
-                "state_spec",
-                f"ambiguous: {' and '.join(given_state_keys)} are mutually exclusive",
-            )
-
-    dim = d_s * d_e if (d_s and d_e) else None
+    pure, probabilities, levels = config.pure, config.probabilities, config.explicit_levels
     if pure is not None and dim is not None:
         if pure.size != dim:
-            col.error("pure", f"needs {dim} amplitudes, got {pure.size}")
+            errors.append(f"pure: needs {dim} amplitudes, got {pure.size}")
         else:
             norm = float(np.linalg.norm(pure))
             if abs(norm - 1.0) > 1e-10:
-                col.error("pure", f"vector is not normalized (norm {norm!r})")
-    if probabilities is not None and d_s and d_e:
-        if probabilities.shape != (d_s, d_e):
-            col.error(
-                "probabilities",
-                f"table must be {d_s} x {d_e}, got {probabilities.shape[0]} x {probabilities.shape[1]}",
-            )
+                errors.append(f"pure: vector is not normalized (norm {norm!r})")
+    if probabilities is not None and dim is not None:
+        if probabilities.shape != (config.d_s, config.d_e):
+            got = " x ".join(map(str, probabilities.shape))
+            errors.append(f"probabilities: table must be {config.d_s} x {config.d_e}, got {got}")
         elif np.any(probabilities < 0.0):
-            col.error("probabilities", "entries must be nonnegative")
+            errors.append("probabilities: entries must be nonnegative")
         elif abs(float(probabilities.sum()) - 1.0) > 1e-10:
-            col.error("probabilities", f"entries sum to {float(probabilities.sum())!r}, expected 1")
-    if random_rank is not None and dim is not None and random_rank > dim:
-        col.error("random_rank", f"must be at most d_S*d_E = {dim}")
+            total = float(probabilities.sum())
+            errors.append(f"probabilities: entries sum to {total!r}, expected 1")
+    if config.random_rank is not None and dim is not None and config.random_rank > dim:
+        errors.append(f"random_rank: must be at most d_S*d_E = {dim}")
 
-    ensemble_kind = col.get_choice("ensemble", ENSEMBLES)
-    if cmd in ENSEMBLE_COMMANDS and "ensemble" not in entries:
-        col.error("ensemble", f"required by command '{cmd}'")
-    mean_spacing = col.get_float("mean_spacing")
-    if mean_spacing is not None and mean_spacing <= 0.0:
-        col.error("mean_spacing", "must be positive")
-        mean_spacing = None
-    levels = col.get_real_list("levels")
-    if ensemble_kind == "explicit":
+    if config.ensemble_kind == "explicit":
         if levels is None and "levels" not in entries:
-            col.error("levels", "required by the explicit ensemble")
+            errors.append("levels: required by the explicit ensemble")
         elif levels is not None and dim is not None and levels.size != dim:
-            col.error("levels", f"needs {dim} levels, got {levels.size}")
+            errors.append(f"levels: needs {dim} levels, got {levels.size}")
     elif levels is not None:
-        col.error("levels", "only meaningful for the explicit ensemble")
-
-    time_start = col.get_float("time_start")
-    time_stop = col.get_float("time_stop")
-    time_steps = col.get_int("time_steps", minimum=1)
-    if cmd in TIME_COMMANDS:
-        for key in ("time_start", "time_stop", "time_steps"):
-            if key not in entries:
-                col.error(key, f"required by command '{cmd}'")
+        errors.append("levels: only meaningful for the explicit ensemble")
 
     if errors:
         raise ConfigError(errors)
-
-    return ExperimentConfig(
-        command=cmd,
-        d_s=d_s,
-        d_e=d_e,
-        seed=seed,
-        pure=pure,
-        probabilities=probabilities,
-        random_rank=random_rank,
-        ensemble_kind=ensemble_kind,
-        mean_spacing=1.0 if mean_spacing is None else mean_spacing,
-        explicit_levels=levels,
-        time_start=time_start,
-        time_stop=time_stop,
-        time_steps=time_steps,
-        n_samples=n_samples,
-        output=output,
-        format=fmt,
-        workers=workers,
-        spectrum_mode=spectrum_mode,
-    )
+    return config

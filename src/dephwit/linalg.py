@@ -125,15 +125,6 @@ def hs_norm(a: np.ndarray):
     return np.sqrt(hs_norm_sq(a))
 
 
-def hs_dist(a: np.ndarray, b: np.ndarray):
-    """Hilbert-Schmidt distance between two operators of equal dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[-2:] != b.shape[-2:]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return hs_norm(a - b)
-
-
 @dataclass(frozen=True)
 class HermitianEigensystem:
     """Spectral data of a Hermitian matrix.
@@ -252,12 +243,3 @@ def eig_hermitian(
     vals = vals[order]
     vecs = _canonicalize_columns(vals, vecs[:, order])
     return HermitianEigensystem(vals, vecs)
-
-
-def conj_by_unitary(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Unitary conjugation u x u^dagger; rejects non-unitary u."""
-    u = require_unitary(u, "u")
-    x = as_square(x, "x")
-    if u.shape[-1] != x.shape[-1]:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {x.shape}")
-    return u @ x @ dagger(u)

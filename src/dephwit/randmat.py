@@ -210,10 +210,6 @@ def structured_evolution(ensemble: SpectrumEnsemble, rng: RngHandle) -> Structur
     return StructuredEvolution(eigvecs=w, levels=levels)
 
 
-def evolve(se: StructuredEvolution, t: float) -> np.ndarray:
-    return se.evolve(t)
-
-
 def level_transform_f(levels, t: float) -> complex:
     """Normalized Fourier transform of the level density, (1/d) sum exp(-i E_j t).
 

@@ -547,3 +547,32 @@ def test_a_bad_workers_variable_is_a_run_error(tmp_path, capsys, monkeypatch, va
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("discord", DIMS + "pure = [nan, 0, 0, 0]\n", "pure: amplitude nan is not finite"),
+        ("discord", DIMS + "pure = [1, 0, 0, nan+1i]\n", "pure: amplitude (nan+1j) is not finite"),
+        ("discord", DIMS + "probabilities = [[nan, 0.5], [0.5, 0]]\n", "probabilities: entry nan is not finite"),
+        ("witness-trajectory", EXPLICIT + "levels = [inf, 1, 2, 3]\n", "levels: entry inf is not finite"),
+        # an integer too large for a float is no finite number either
+        ("discord", DIMS + f"pure = [1, 0, 0, {10**400}]\n", "pure: int too large to convert to float"),
+        ("witness-trajectory", TRAJECTORY + f"mean_spacing = {10**400}\n", "mean_spacing: int too large to convert to float"),
+    ],
+)
+def test_non_finite_list_entries_are_config_errors(tmp_path, capsys, command, text, message):
+    code, out = _run(tmp_path, "bad", text, command=command)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+
+
+def test_an_unwritable_output_is_a_one_line_run_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CHECK)
+    out = tmp_path / "missing" / "out.json"
+    assert cli.main(["theorem-check", "--config", str(cfg), "--output", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from dephwit.linalg import (
     ConvergenceError,
-    conj_by_unitary,
     dagger,
     eig_hermitian,
-    hs_dist,
     hs_inner,
     hs_norm,
     partial_trace_env,
@@ -153,7 +151,6 @@ def test_hs_norm_triangle_inequality(seed):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert hs_norm(a + b) <= hs_norm(a) + hs_norm(b) + 1e-12
-    assert hs_dist(a, b) == pytest.approx(hs_norm(a - b))
 
 
 # ---------------------------------------------------------------------------
@@ -230,31 +227,7 @@ def test_eig_convergence_error_is_exported():
 
 
 # ---------------------------------------------------------------------------
-# unitary conjugation
-
-
-def test_conj_by_identity():
-    rng = np_rng(51)
-    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    np.testing.assert_allclose(conj_by_unitary(np.eye(4), x), x, atol=1e-14)
-
-
-def test_conj_preserves_norm_and_spectrum():
-    rng = np_rng(52)
-    for _ in range(5):
-        u = haar_np(rng, 4)
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert hs_norm(conj_by_unitary(u, x)) == pytest.approx(hs_norm(x), abs=1e-10)
-        h = random_hermitian_np(rng, 4)
-        before = np.linalg.eigvalsh(h)
-        after = np.linalg.eigvalsh(conj_by_unitary(u, h))
-        np.testing.assert_allclose(before, after, atol=1e-10)
-        assert np.trace(conj_by_unitary(u, h)) == pytest.approx(np.trace(h), abs=1e-10)
-
-
-def test_conj_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        conj_by_unitary(2.0 * np.eye(3), np.eye(3))
+# conjugate transpose
 
 
 def test_dagger_is_conjugate_transpose():

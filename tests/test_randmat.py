@@ -10,7 +10,6 @@ from dephwit.randmat import (
     RngHandle,
     SpectrumEnsemble,
     StructuredEvolution,
-    evolve,
     ginibre,
     haar_unitary,
     level_transform_f,
@@ -215,8 +214,6 @@ def test_structured_evolution_validates_inputs():
         StructuredEvolution(eigvecs=2.0 * np.eye(3), levels=np.zeros(3))
     with pytest.raises(ValueError):
         StructuredEvolution(eigvecs=np.eye(3), levels=np.zeros(2))
-    se = _sample_evolution(66)
-    assert np.array_equal(evolve(se, 0.5), se.evolve(0.5))
 
 
 # ---------------------------------------------------------------------------
