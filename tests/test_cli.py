@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -204,16 +205,16 @@ def test_twirl_checks_are_identical_for_any_worker_count_and_match_a_direct_call
 
 
 # ---------------------------------------------------------------------------
-# golden runs of the commands without a Monte Carlo grid
+# golden runs of discord, witness-trajectory, haar-average and theorem-check
 
 
 def _dephased(state):
     basis = eigenbasis_of_marginal(state)
-    return state, dephase_total(state, basis), basis
+    return dephase_total(state, basis), basis
 
 
 def _discord_direct(state):
-    _, deph, basis = _dephased(state)
+    deph, basis = _dephased(state)
     delta = discord_delta(state)
     return {
         "delta": delta,
@@ -226,7 +227,7 @@ def _discord_direct(state):
 
 
 def _trajectory_direct(state, ensemble, seed, times):
-    state, deph, _ = _dephased(state)
+    deph, _ = _dephased(state)
     se = structured_evolution(ensemble, RngHandle(seed).derive(1))
     traj = witness_trajectory(state, deph, se, times)
     return [
@@ -236,7 +237,7 @@ def _trajectory_direct(state, ensemble, seed, times):
 
 
 def _haar_direct(state, seed, n_samples):
-    state, deph, _ = _dephased(state)
+    deph, _ = _dephased(state)
     delta = discord_delta(state)
     est = haar_average_distance_sq(state, deph, n_samples, RngHandle(seed).derive(2))
     rms, rms_err = est.rms()
@@ -248,7 +249,7 @@ def _haar_direct(state, seed, n_samples):
         "rms_std_error": rms_err,
         "delta": delta,
         "predicted_mean_sq": predicted,
-        "predicted_rms": predicted**0.5,
+        "predicted_rms": math.sqrt(predicted),
         "z_score": (est.mean - predicted) / est.std_error,
         "n_samples": n_samples,
     }
