@@ -363,6 +363,9 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
             errors.append(f"levels: needs {dim} levels, got {levels.size}")
     elif levels is not None:
         errors.append("levels: only meaningful for the explicit ensemble")
+    start, stop = config.time_start, config.time_stop
+    if config.time_steps == 1 and None not in (start, stop) and stop != start:
+        errors.append(f"time_steps: 1 keeps only time_start {start!r}, not time_stop {stop!r}")
 
     if errors:
         raise ConfigError(errors)

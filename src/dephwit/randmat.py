@@ -210,12 +210,13 @@ def structured_evolution(ensemble: SpectrumEnsemble, rng: RngHandle) -> Structur
     return StructuredEvolution(eigvecs=w, levels=levels)
 
 
-def level_transform_f(levels, t: float) -> complex:
+def level_transform_f(levels, t: float) -> complex | np.ndarray:
     """Normalized Fourier transform of the level density, (1/d) sum exp(-i E_j t).
 
-    Equals 1 at t = 0 and is bounded by 1 in modulus.
+    Equals 1 at t = 0 and is bounded by 1 in modulus. A stack of spectra,
+    shape (n, d), gives an array of the n values.
     """
     levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
-        raise ValueError("levels must be a nonempty 1-d array")
-    return complex(np.mean(np.exp(-1j * float(t) * levels)))
+    if levels.ndim not in (1, 2) or levels.size == 0:
+        raise ValueError("levels must be a nonempty 1-d array or an (n, d) stack")
+    return np.mean(np.exp(-1j * float(t) * levels), axis=-1)

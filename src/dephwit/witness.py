@@ -16,10 +16,9 @@ vectors of length d^2, so its chunk moments come from centered factors
 through matrix products over the chunk axis, in O(n d^2) memory, instead
 of a second pass over n dense (d^2, d^2) samples.
 
-A structured average over a time grid is one Monte Carlo run: each
-sample's Haar eigenvectors and spectrum serve every time point. The rows
-of the grid are therefore correlated by design and must not be combined
-as independent estimates.
+Structured averages take the mean over the Haar eigenvectors exactly
+(:mod:`dephwit.weingarten`): fixed spectra give exact rows, and annealed
+rows are a Monte Carlo over shared spectra, correlated by design.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .linalg import (
 )
 from .randmat import RngHandle, SpectrumEnsemble, StructuredEvolution, haar_unitary, sample_spectrum
 from .states import BipartiteState
+from .weingarten import weingarten_matrix, witness_columns, witness_rows
 
 MC_CHUNK = 512
 
@@ -300,19 +300,20 @@ def structured_average_grid(
 ) -> list[McEstimate]:
     """Average squared witness under W exp(-iDt) W^dagger along a time grid.
 
-    W is Haar; the spectrum D is redrawn per sample (annealed) or frozen
-    once from a derived substream (``redraw_spectrum=False``, quenched).
-    Each sample's (W, D) serves every time of the grid: M' = W^dagger M W
-    is formed once, and time t contributes the squared norm of
-    Tr_E(W (M' o phi phi^dagger) W^dagger) with phi = exp(-iDt). The rows
-    therefore share their random numbers and are correlated by design;
-    each is a valid estimate on its own, but they must not be combined
-    (averaged, fitted) as independent estimates. At t = 0 the evolution is
-    the identity and the marginals of the two states coincide, so those
-    rows are exactly zero and draw nothing.
+    The Haar W is averaged exactly, by the degree-4 Weingarten sum
+    r(M) Wg c(D, t) of :mod:`dephwit.weingarten`, M = rho - rho_deph. For a
+    dephasing pair r(M) / delta^2 is one fixed vector: the average is exactly
+    delta^2 K(d_s, d_e, D, t), the ensemble analogue of the Haar
+    proportionality. A fixed D (quenched, frozen once from rng.derive(1), or
+    ``explicit``) gives exact rows ``McEstimate(value, 0.0, n_samples)`` that
+    draw nothing; ``n_samples`` only labels them. Annealed rows are a Monte
+    Carlo over spectra alone (chunk k from rng.derive(0, k)), each sample the
+    exact mean over W; all times share the spectra, so those rows are
+    correlated and must not be combined as independent estimates. Rows with
+    t = 0 are exactly zero.
     """
     m = _check_state_pair(rho, rho_deph)
-    d, d_s = rho.dim, rho.d_s
+    d = rho.dim
     if ensemble.dim != d:
         raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {d}")
     if n_samples < 2:
@@ -322,24 +323,19 @@ def structured_average_grid(
     moving = np.flatnonzero(times)
     if moving.size == 0:
         return estimates
-    frozen_levels = None if redraw_spectrum else sample_spectrum(ensemble, rng.derive(1))
+    weights = weingarten_matrix(4, d) @ witness_rows(m, rho.d_s, rho.d_e)
 
-    def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
-        w = haar_unitary(d, handle, size=count)
-        levels = sample_spectrum(ensemble, handle, size=count) if frozen_levels is None else frozen_levels
-        m_w = dagger(w) @ m @ w
-        # one time at a time keeps the working set at a few (count, d, d) arrays
-        out = np.empty((count, moving.size))
-        for i, t in enumerate(times[moving]):
-            # W (M' o phi phi^dagger) W^dagger = A M' A^dagger with A = W diag(phi);
-            # its reduced block sums the environment rows of (A M') and A
-            a = w * np.exp(-1j * t * levels)[..., None, :]
-            rows = (a @ m_w).reshape(count, d_s, -1)
-            red = rows @ np.swapaxes(a.conj().reshape(count, d_s, -1), 1, 2)
-            out[:, i] = np.einsum("nij,nij->n", red.conj(), red).real
-        return out
+    def mean_sq(levels: np.ndarray) -> np.ndarray:
+        # the exact mean over W for each spectrum, one column per moving time
+        return np.stack([(witness_columns(levels, t) @ weights).real for t in times[moving]], axis=-1)
 
-    mean, std_error = _mc_moments(sample_fn, n_samples, rng, workers)
+    if ensemble.kind == "explicit" or not redraw_spectrum:
+        mean = mean_sq(sample_spectrum(ensemble, rng.derive(1)))
+        std_error = np.zeros_like(mean)
+    else:
+        mean, std_error = _mc_moments(
+            lambda handle, count: mean_sq(sample_spectrum(ensemble, handle, size=count)), n_samples, rng, workers
+        )
     for i, mu, err in zip(moving, mean, std_error):
         estimates[i] = McEstimate(float(mu), float(err), n_samples)
     return estimates

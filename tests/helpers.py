@@ -69,3 +69,46 @@ def discord_oracle(rho: np.ndarray, d_s: int, d_e: int) -> float:
 
 def hs_norm_np(a: np.ndarray) -> float:
     return float(np.sqrt(np.trace(a.conj().T @ a).real))
+
+
+def haar_batch_np(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """n independent Haar unitaries, as in :func:`haar_np`."""
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (np.abs(diag) / diag)[:, None, :]
+
+
+def gue_levels_np(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """n GUE spectra, ascending, with unit mean spacing over levels
+    floor(0.1 d) to ceil(0.9 d) - 1 (the whole spectrum when that leaves
+    fewer than two levels)."""
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    levels = np.linalg.eigvalsh(g + np.conj(np.swapaxes(g, -1, -2)))
+    lo, hi = int(np.floor(0.1 * d)), int(np.ceil(0.9 * d))
+    if hi - lo < 2:
+        lo, hi = 0, d
+    return levels * ((hi - 1 - lo) / (levels[:, hi - 1] - levels[:, lo]))[:, None]
+
+
+def structured_samples_np(m, d_s, d_e, levels, times, rng, chunk=1024):
+    """(W, spectrum) Monte Carlo oracle of the structured witness.
+
+    Row n, column j is ||Tr_E(U M U^dagger)||^2 with U = W exp(-iE t_j)
+    W^dagger, W Haar from ``rng`` and E = levels[n]. Every time reuses the
+    sample's W, so the columns are correlated; each column is an unbiased
+    sample of the average over W (and over the spectra, if they vary).
+    """
+    levels = np.asarray(levels, dtype=float)
+    n, d = levels.shape
+    out = np.empty((n, len(times)))
+    for start in range(0, n, chunk):
+        lv = levels[start : start + chunk]
+        w = haar_batch_np(rng, d, lv.shape[0])
+        wdag = np.conj(np.swapaxes(w, -1, -2))
+        for j, t in enumerate(times):
+            u = (w * np.exp(-1j * t * lv)[:, None, :]) @ wdag
+            x = u @ m @ np.conj(np.swapaxes(u, -1, -2))
+            red = np.einsum("nikjk->nij", x.reshape(-1, d_s, d_e, d_s, d_e))
+            out[start : start + chunk, j] = np.sum(np.abs(red) ** 2, axis=(-2, -1))
+    return out

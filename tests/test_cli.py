@@ -267,6 +267,22 @@ def _theorem_direct(seed, d_s, d_e, n_samples):
     }
 
 
+def _structured_direct(state, ensemble, seed, times, n_samples, redraw_spectrum):
+    deph, _ = _dephased(state)
+    delta = discord_delta(state)
+    grid = structured_average_grid(
+        state, deph, ensemble, times, n_samples, RngHandle(seed).derive(2), redraw_spectrum=redraw_spectrum
+    )
+    rows = []
+    for t, est in zip(times.tolist(), grid):
+        rms, rms_err = est.rms()
+        rows.append({
+            "t": t, "mean_sq": est.mean, "std_error": est.std_error, "rms": rms, "rms_std_error": rms_err,
+            "delta": delta, "ratio_to_delta": rms / delta,
+        })
+    return rows
+
+
 PURE = np.array([0.6, 0, 0.48j, 0.64])
 
 # name -> (command, config text, literal config echo, direct API result)
@@ -317,6 +333,22 @@ GOLDEN = {
         lambda: _trajectory_direct(
             random_mixed(2, 2, 2, RngHandle(24).derive(0)),
             SpectrumEnsemble("gue", 4), 24, np.linspace(0.5, 2.0, 3),
+        ),
+    ),
+    "structured-explicit": (
+        "structured-average",
+        "d_S = 2\nd_E = 2\nseed = 27\npure = [0.6, 0, 0.48i, 0.64]\nensemble = explicit\n"
+        "levels = [0, 1, 2.5, 4]\ntime_start = 0\ntime_stop = 3\ntime_steps = 4\nn_samples = 1100\n",
+        {
+            "command": "structured-average", "d_S": 2, "d_E": 2, "seed": 27,
+            "pure": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.48], [0.64, 0.0]],
+            "ensemble": "explicit", "mean_spacing": 1.0, "levels": [0.0, 1.0, 2.5, 4.0],
+            "time_start": 0.0, "time_stop": 3.0, "time_steps": 4, "n_samples": 1100,
+            "spectrum_mode": "annealed",
+        },
+        lambda: _structured_direct(
+            from_pure(PURE, 2, 2), SpectrumEnsemble("explicit", 4, explicit_levels=np.array([0, 1, 2.5, 4.0])),
+            27, np.linspace(0.0, 3.0, 4), 1100, True,
         ),
     ),
     "haar-average": (
@@ -379,6 +411,20 @@ def test_golden_runs_are_identical_for_any_worker_count_and_match_direct_calls(
         header = lines[0].split(",")
         assert header == list(expected[0])
         assert [dict(zip(header, map(json.loads, line.split(",")))) for line in lines[1:]] == expected
+
+
+def test_structured_average_explicit_rows_are_exact(tmp_path):
+    # a fixed spectrum needs no sampling, in either spectrum mode
+    command, text, _, _ = GOLDEN["structured-explicit"]
+    results = []
+    for mode in ("annealed", "quenched"):
+        code, out = _run(tmp_path, mode, text + f"spectrum_mode = {mode}\n", command=command)
+        assert code == 0
+        rows = json.loads(out.read_text())["results"]
+        assert [(row["std_error"], row["rms_std_error"]) for row in rows] == [(0.0, 0.0)] * 4
+        assert rows[0]["mean_sq"] == 0.0 and all(row["mean_sq"] > 0.0 for row in rows[1:])
+        results.append(rows)
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +523,10 @@ CONFIG_ERRORS = [
     (
         "witness-trajectory", TRAJECTORY.replace("time_steps = 2", "time_steps = 0"),
         "time_steps: must be at least 1, got 0",
+    ),
+    (
+        "witness-trajectory", TRAJECTORY.replace("time_steps = 2", "time_steps = 1"),
+        "time_steps: 1 keeps only time_start 0.0, not time_stop 1.0",
     ),
 ]
 

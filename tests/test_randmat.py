@@ -234,3 +234,14 @@ def test_level_transform_reference_values():
 def test_level_transform_bounded(seed, t):
     levels = np.random.default_rng(seed).normal(size=8)
     assert abs(level_transform_f(levels, t)) <= 1.0 + 1e-12
+
+
+def test_level_transform_of_a_stack_is_the_row_by_row_transform():
+    stack = np.random.default_rng(7).normal(size=(5, 6))
+    values = level_transform_f(stack, 1.3)
+    assert isinstance(level_transform_f(stack[0], 1.3), complex)
+    assert values.shape == (5,)
+    assert values.tolist() == [level_transform_f(row, 1.3) for row in stack]
+    for bad in (np.zeros(0), np.zeros((3, 0)), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError):
+            level_transform_f(bad, 1.0)

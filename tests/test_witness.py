@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -42,7 +43,17 @@ from dephwit.witness import (
     witness_distance,
     witness_trajectory,
 )
-from helpers import haar_np, hs_norm_np, np_rng, ptrace_env_loops, random_hermitian_np
+from dephwit.weingarten import weingarten_matrix, witness_columns, witness_rows
+from helpers import (
+    gue_levels_np,
+    haar_batch_np,
+    haar_np,
+    hs_norm_np,
+    np_rng,
+    ptrace_env_loops,
+    random_hermitian_np,
+    structured_samples_np,
+)
 
 SQRT8 = np.array([np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)], dtype=complex)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -283,7 +294,11 @@ def test_structured_grid_matches_worker_counts():
     state, deph = _grid_case()
     times = [0.0, 0.5, 1.5, 3.0]
     n = 2 * MC_CHUNK + 76
-    for ens, redraw in ((SpectrumEnsemble("gue", 6), True), (SpectrumEnsemble("poisson", 6), False)):
+    for ens, redraw in (
+        (SpectrumEnsemble("gue", 6), True),
+        (SpectrumEnsemble("poisson", 6), True),
+        (SpectrumEnsemble("poisson", 6), False),
+    ):
         one, two = (
             structured_average_grid(
                 state, deph, ens, times, n, RngHandle(191), workers=w, redraw_spectrum=redraw
@@ -293,32 +308,15 @@ def test_structured_grid_matches_worker_counts():
         assert one == two  # bit-identical, not approximately equal
 
 
-def test_structured_grid_columns_match_direct_evolution_and_single_times():
-    # each column against U M U^dagger with U = W exp(-iDt) W^dagger built
-    # from the same draws, and against the single-time call on the same stream
+def test_structured_grid_columns_match_single_times():
+    # each column against the single-time call on the same stream
     state, deph = _grid_case()
-    m = state.rho - deph.rho
     times = [0.25, 1.0, 2.5]
     n = 2 * MC_CHUNK + 76
     for ens, redraw in ((SpectrumEnsemble("gue", 6), True), (SpectrumEnsemble("poisson", 6), False)):
         rng = RngHandle(192)
         grid = structured_average_grid(state, deph, ens, times, n, rng, redraw_spectrum=redraw)
-        w_parts, level_parts = [], []
-        for k, start in enumerate(range(0, n, MC_CHUNK)):
-            handle = rng.derive(0, k)
-            count = min(MC_CHUNK, n - start)
-            w_parts.append(haar_unitary(6, handle, size=count))
-            if redraw:
-                level_parts.append(sample_spectrum(ens, handle, size=count))
-        w = np.concatenate(w_parts)
-        levels = np.concatenate(level_parts) if redraw else sample_spectrum(ens, rng.derive(1))
         for t, est in zip(times, grid):
-            u = (w * np.exp(-1j * t * levels)[..., None, :]) @ dagger(w)
-            x = (u @ m @ dagger(u)).reshape(n, 2, 3, 2, 3)
-            red = np.einsum("nikjk->nij", x)
-            samples = np.einsum("nij,nij->n", red.conj(), red).real
-            assert est.mean == pytest.approx(samples.mean(), rel=1e-12)
-            assert est.std_error == pytest.approx(samples.std(ddof=1) / math.sqrt(n), rel=1e-9)
             single = structured_average_distance(
                 state, deph, ens, t, n, rng, redraw_spectrum=redraw
             )
@@ -340,6 +338,141 @@ def test_structured_grid_zero_and_repeated_times():
     assert structured_average_grid(state, deph, ens, [0.0, 0.0], 1_000, RngHandle(193)) == [
         McEstimate(0.0, 0.0, 1_000)
     ] * 2
+
+
+# ---------------------------------------------------------------------------
+# exact Weingarten engine
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2), (1, 4), (3, 3)])
+def test_degree_two_weingarten_reproduces_theorem_rhs(d_s, d_e):
+    # rows of U: (a, b'), of conj(U): (b, a'); the partial trace and the norm
+    # tie a_S = a'_S, b_S = b'_S, a_E = b_E, a'_E = b'_E
+    d = d_s * d_e
+    one_s, one_e = np.eye(d_s), np.eye(d_e)
+    ties = np.einsum("ac,bd,AB,CD->aAbBcCdD", one_s, one_s, one_e, one_e).reshape((d,) * 4)
+    rows = [np.einsum("aabb->", ties), np.einsum("abab->", ties)]  # sigma = id, swap
+    wg = weingarten_matrix(2, d)
+    for seed in range(3):
+        m = random_hermitian_np(np_rng(900 + seed), d)
+        # columns of U: (p, q'), of conj(U): (q, p'), weighted by M_pq conj(M_p'q')
+        cols = [abs(np.trace(m)) ** 2, hs_norm_np(m) ** 2]
+        assert _rel(rows @ wg @ cols, theorem_rhs(m, d_s, d_e)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_degree_two_weingarten_reproduces_twirl_constants(d):
+    # U^dagger A U X U^dagger B U: rows of U (q, v), of conj(U) (p, u), with
+    # A_pq B_uv; tau = id gives X and tau = swap gives Tr(X) I
+    wg = weingarten_matrix(2, d)
+    rng = np_rng(910 + d)
+    a_op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    b_op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rows = np.array([np.trace(a_op) * np.trace(b_op), np.trace(a_op @ b_op)])
+    consts = twirl_constants(a_op, b_op)
+    assert _rel(rows @ wg[:, 1], consts.a) <= 1e-12
+    assert _rel(rows @ wg[:, 0], consts.b) <= 1e-12
+
+
+def _entry_moment_np(d, rows, cols, n, rng):
+    u = haar_batch_np(rng, d, n)
+    samples = np.prod(np.abs(u[:, rows, cols]) ** 2, axis=-1)
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "rows, cols", [((0, 0, 0, 0), (0, 0, 0, 0)), ((0, 0, 1, 1), (0, 1, 0, 1)), ((0, 1, 1, 0), (0, 0, 1, 1))]
+)
+def test_singular_gram_weingarten_matches_haar_entry_moments(d, rows, cols):
+    # E prod_k |U_{i_k j_k}|^2 sums Wg(sigma, tau) over the sigma fixing the
+    # row tuple and the tau fixing the column tuple
+    perms = list(itertools.permutations(range(4)))
+    r = np.array([all(rows[s[k]] == rows[k] for k in range(4)) for s in perms], dtype=float)
+    c = np.array([all(cols[s[k]] == cols[k] for k in range(4)) for s in perms], dtype=float)
+    exact = r @ weingarten_matrix(4, d) @ c
+    mean, err = _entry_moment_np(d, list(rows), list(cols), 40_000, np_rng(920 + d))
+    assert abs(exact - mean) <= 5.0 * err
+    if rows == cols == (0, 0, 0, 0):
+        assert exact == pytest.approx(24.0 / (d * (d + 1) * (d + 2) * (d + 3)), rel=1e-12)
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 1), (3, 1), (1, 2), (1, 3)])
+def test_singular_gram_structured_witness_is_exact(d_s, d_e):
+    # at d = 2 and 3 one factor is trivial and every evolution gives the same
+    # value: ||M||^2 without an environment, |Tr M|^2 without a system
+    d = d_s * d_e
+    m = random_hermitian_np(np_rng(930 + d_s), d)
+    expected = hs_norm_np(m) ** 2 if d_e == 1 else abs(np.trace(m)) ** 2
+    weights = weingarten_matrix(4, d) @ witness_rows(m, d_s, d_e)
+    levels = np_rng(940 + d).normal(size=d)
+    for t in (0.4, 1.5, 7.0):
+        assert _rel((witness_columns(levels, t) @ weights).real, expected) <= 1e-12
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2)])
+def test_witness_rows_per_squared_discord_are_one_vector(d_s, d_e):
+    reference = None
+    for rank in range(1, min(6, d_s * d_e) + 1):
+        state = random_mixed(d_s, d_e, rank, RngHandle(950 + rank))
+        m = state.rho - dephase_total(state).rho
+        rows = witness_rows(m, d_s, d_e) / discord_delta(state) ** 2
+        if reference is None:
+            reference = rows
+        assert np.abs(rows - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_structured_average_of_a_classical_pair_is_exactly_zero():
+    state, deph = _classical_pair()
+    times = [0.0, 0.4, 7.0]
+    for ens, redraw in ((SpectrumEnsemble("gue", 4), True), (SpectrumEnsemble("poisson", 4), False)):
+        grid = structured_average_grid(state, deph, ens, times, 1_000, RngHandle(960), redraw_spectrum=redraw)
+        assert grid == [McEstimate(0.0, 0.0, 1_000)] * 3
+
+
+STRUCTURED_TIMES = [0.4, 1.5, 7.0]
+
+
+def _z_case(d_s, d_e):
+    state = random_mixed(d_s, d_e, 2, RngHandle(970 + 10 * d_s + d_e))
+    deph = dephase_total(state)
+    return state, deph, state.rho - deph.rho
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_exact_rows_pass_z_checks_against_the_sampler(d_s, d_e):
+    state, deph, m = _z_case(d_s, d_e)
+    d = d_s * d_e
+    n = 4_000
+    rng = RngHandle(980)
+    explicit = SpectrumEnsemble("explicit", d, explicit_levels=np_rng(981).uniform(0.0, d, d))
+    quenched = SpectrumEnsemble("poisson", d)
+    for ens, redraw in ((explicit, True), (explicit, False), (quenched, False)):
+        grid = structured_average_grid(state, deph, ens, STRUCTURED_TIMES, n, rng, redraw_spectrum=redraw)
+        assert all(est.std_error == 0.0 and est.n_samples == n for est in grid)
+        levels = np.broadcast_to(sample_spectrum(ens, rng.derive(1)), (n, d))
+        samples = structured_samples_np(m, d_s, d_e, levels, STRUCTURED_TIMES, np_rng(982 + d))
+        for est, col in zip(grid, samples.T):
+            z = (est.mean - col.mean()) / (col.std(ddof=1) / math.sqrt(n))
+            assert abs(z) <= 5.0
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_annealed_rows_pass_z_checks_against_the_sampler(d_s, d_e):
+    state, deph, m = _z_case(d_s, d_e)
+    d = d_s * d_e
+    n = 4_000
+    grid = structured_average_grid(state, deph, SpectrumEnsemble("gue", d), STRUCTURED_TIMES, n, RngHandle(990))
+    rng = np_rng(991 + d)
+    samples = structured_samples_np(m, d_s, d_e, gue_levels_np(rng, d, n), STRUCTURED_TIMES, rng)
+    for est, col in zip(grid, samples.T):
+        assert 0.0 < est.std_error < col.std(ddof=1) / math.sqrt(n)
+        z = (est.mean - col.mean()) / math.hypot(est.std_error, col.std(ddof=1) / math.sqrt(n))
+        assert abs(z) <= 5.0
 
 
 # ---------------------------------------------------------------------------
