@@ -5,6 +5,9 @@ Usage: ``dephwit <command> --config <path> [--seed N] [--output PATH]
 spawns fixed substreams for state generation, operator draws, and the
 Monte Carlo chunks, so identical configs produce byte-identical output
 files for any worker count. Wall-clock timing goes to stderr only.
+A ``structured-average`` run with a fixed spectrum (quenched, or the
+explicit ensemble) has exact rows and draws nothing; its ``n_samples``
+is still required but unused, and the stderr line says so.
 
 The Monte Carlo commands run on the ``workers`` key of the config, else
 on the ``DEPHWIT_WORKERS`` environment variable, else on one thread.
@@ -354,8 +357,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
         return 1
+    exact = config.command == "structured-average" and (
+        config.ensemble_kind == "explicit" or config.spectrum_mode == "quenched"
+    )
     print(
-        f"{config.command}: wrote {config.output} in {duration:.3f}s (seed {config.seed})",
+        f"{config.command}: wrote {config.output} in {duration:.3f}s (seed {config.seed})"
+        + ("; rows exact, n_samples unused" if exact else ""),
         file=sys.stderr,
     )
     return 0

@@ -262,7 +262,8 @@ KEYS = (
         required=True),
     Key("time_steps", "time_steps", _integer(1), ("witness-trajectory", "structured-average"),
         required=True),
-    # Monte Carlo
+    # Monte Carlo; structured-average rows with a fixed spectrum (quenched, or
+    # the explicit ensemble) are exact, and n_samples only labels them
     Key("n_samples", "n_samples", _integer(2),
         ("haar-average", "theorem-check", "lemma-check", "choi-check", "structured-average"),
         required=True),

@@ -10,7 +10,7 @@ coefficients over row indices in which the k-th row of U equals the
 sigma(k)-th row of conj(U); c(tau) does the same for the columns. Wg is
 the pseudo-inverse of the Gram matrix d^#cycles(sigma^-1 tau). The Gram
 matrix is singular for d < n, and its pseudo-inverse is still the right
-weight there.
+weight there. Wg comes from the characters of S_n, with no linear solve.
 
 The structured witness E_W ||Tr_E(W L W^dagger M W conj(L) W^dagger)||^2,
 L = diag(exp(-iEt)), is the case n = 4. With X = U M U^dagger,
@@ -51,22 +51,82 @@ def _cycles(perm) -> list[list[int]]:
     return out
 
 
-@lru_cache(maxsize=16)
+def _cycle_type(perm) -> tuple:
+    return tuple(sorted(map(len, _cycles(perm)), reverse=True))
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n, parts in descending order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _character(beta: frozenset, lengths: tuple) -> int:
+    """chi^lambda on the cycle type ``lengths``, by the Murnaghan-Nakayama
+    rule on the beta-set {lambda_i + l - i} of lambda: removing a border
+    strip of length r moves a bead from b to b - r, with the sign of the
+    beads it passes."""
+    if not lengths:
+        return 1
+    r, total = lengths[0], 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            sign = (-1) ** sum(b - r < x < b for x in beta)
+            total += sign * _character(beta - {b} | {b - r}, lengths[1:])
+    return total
+
+
+@lru_cache(maxsize=None)
+def _symmetric_group(n: int) -> tuple:
+    """Cycle types of S_n (the partitions of n, the identity's last), the
+    character table chi[lambda][mu] over them, and the cycle type of
+    sigma^-1 tau, as an index, for each pair in the order of
+    ``itertools.permutations``."""
+    types = list(_partitions(n))
+    chars = {}
+    for lam in types:
+        beta = frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam))
+        chars[lam] = [_character(beta, mu) for mu in types]
+    perms = list(permutations(range(n)))
+    inverse = [tuple(sorted(range(n), key=s.__getitem__)) for s in perms]
+    classes = np.array(
+        [[types.index(_cycle_type([s_inv[t[k]] for k in range(n)])) for t in perms] for s_inv in inverse]
+    )
+    classes.flags.writeable = False
+    return types, chars, classes
+
+
 def weingarten_matrix(n: int, d: int) -> np.ndarray:
     """Wg(sigma, tau) over S_n, in the order of ``itertools.permutations``.
 
-    The Gram matrix's nonzero eigenvalues are products of positive
-    integers, so a pseudo-inverse cutoff of 1e-10 relative cannot drop one.
-    The result is cached per (n, d) and read-only.
+    Wg(sigma, tau) = Wg(sigma^-1 tau) = (1/n!) sum over lambda of
+    chi^lambda(1) chi^lambda(sigma^-1 tau) / prod over the cells of lambda
+    of (d + content). Dropping the lambda with more than d rows, whose
+    product is 0, gives the pseudo-inverse of the Gram matrix. Each value
+    is summed in integers and rounded once.
+
+    Only the tables of S_n are cached, those of S_4 at import. The matrix
+    is rebuilt per call, in about 30 us at n = 4, so a run keeps no array.
     """
-    perms = list(permutations(range(n)))
-    inverse = [tuple(sorted(range(n), key=s.__getitem__)) for s in perms]
-    gram = np.array(
-        [[float(d) ** len(_cycles([s_inv[t[k]] for k in range(n)])) for t in perms] for s_inv in inverse]
-    )
-    wg = np.linalg.pinv(gram, 1e-10, hermitian=True)
-    wg.flags.writeable = False
-    return wg
+    types, chars, classes = _symmetric_group(n)
+    terms = []
+    for lam in types:
+        contents = math.prod(d + j - i for i, part in enumerate(lam) for j in range(part))
+        if contents:
+            terms.append((chars[lam], contents))
+    common = math.lcm(*(c for _, c in terms))
+    wg = [
+        sum(chi[-1] * chi[k] * (common // c) for chi, c in terms) / (math.factorial(n) * common)
+        for k in range(len(types))
+    ]
+    return np.array(wg)[classes]
+
+
+_symmetric_group(4)
 
 
 # row indices of the degree-4 witness, rows of W then rows of conj(W)
@@ -92,29 +152,41 @@ def _label_classes(ties) -> list[int]:
     return [find(x) for x in range(16)]
 
 
-def witness_rows(m, d_s: int, d_e: int) -> np.ndarray:
-    """r(sigma) of the degree-4 witness for the operator M, over S_4.
-
-    Each entry contracts M with conj(M) in split (system, environment)
-    indices, so the work is at most d^4 multiply-adds and the memory that
-    of M. r is a combination of ||M||^2, |Tr M|^2, ||Tr_E M||^2 and
-    ||Tr_S M||^2. For a dephasing pair M = rho - Phi(rho) the last three
-    vanish, so r / delta^2 is one fixed vector.
-    """
-    m4 = np.asarray(m, dtype=complex).reshape(d_s, d_e, d_s, d_e)
-    out = np.empty(len(_PERMS4), dtype=complex)
-    for i, sigma in enumerate(_PERMS4):
+def _row_wirings() -> list[tuple]:
+    # per sigma: the einsum labels of M (rows c, columns e) and of conj(M)
+    # (rows c', columns e'), and how many system and environment labels are
+    # tied to neither operator, each of which sums a constant over its range
+    out = []
+    for sigma in _PERMS4:
         ties = _TRACE_TIES + [
             (2 * w + part, 2 * _WBAR_ROWS[sigma[k]] + part) for k, w in enumerate(_W_ROWS) for part in (0, 1)
         ]
         label = _label_classes(ties)
         on_m = [label[2 * _C], label[2 * _C + 1], label[2 * _E], label[2 * _E + 1]]
         on_mbar = [label[2 * _C2], label[2 * _C2 + 1], label[2 * _E2], label[2 * _E2 + 1]]
-        # a label tied to neither operator sums a constant over its range
         free = set(label) - set(on_m) - set(on_mbar)
-        scale = math.prod(d_e if x % 2 else d_s for x in free)
-        out[i] = scale * np.einsum(m4, on_m, m4.conj(), on_mbar, [])
+        out.append((on_m, on_mbar, sum(x % 2 == 0 for x in free), sum(x % 2 for x in free)))
     return out
+
+
+_ROW_WIRINGS = _row_wirings()
+
+
+def witness_rows(m, d_s: int, d_e: int) -> np.ndarray:
+    """r(sigma) of the degree-4 witness for the operator M, over S_4.
+
+    Each entry is one contraction of M with conj(M) in split (system,
+    environment) indices, so the work is at most d^4 multiply-adds and the
+    memory that of M. r is a combination of ||M||^2, |Tr M|^2,
+    ||Tr_E M||^2 and ||Tr_S M||^2. For a dephasing pair M = rho - Phi(rho)
+    the last three vanish, so r / delta^2 is one fixed vector.
+    """
+    m4 = np.asarray(m, dtype=complex).reshape(d_s, d_e, d_s, d_e)
+    m4_bar = m4.conj()
+    return np.array([
+        d_s**n_s * d_e**n_e * np.einsum(m4, on_m, m4_bar, on_mbar, [])
+        for on_m, on_mbar, n_s, n_e in _ROW_WIRINGS
+    ])
 
 
 def _column_monomials():
@@ -123,12 +195,14 @@ def _column_monomials():
     # sum to k. The 24 permutations give 8 distinct monomials, none with an
     # exponent above 2.
     slot_signs = (1, -1, -1, 1)
-    exponents = np.zeros((len(_PERMS4), 5), dtype=int)
-    for i, tau in enumerate(_PERMS4):
+    exponents = []
+    for tau in _PERMS4:
+        powers = [0] * 5
         for cycle in _cycles(tau):
-            exponents[i, sum(slot_signs[j] for j in cycle) % 5] += 1
-    monomials, of_tau = np.unique(exponents, axis=0, return_inverse=True)
-    return monomials, of_tau.reshape(-1)
+            powers[sum(slot_signs[j] for j in cycle) % 5] += 1
+        exponents.append(tuple(powers))
+    monomials = sorted(set(exponents))
+    return np.array(monomials), np.array([monomials.index(e) for e in exponents])
 
 
 _MONOMIALS, _MONOMIAL_OF_TAU = _column_monomials()

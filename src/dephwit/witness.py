@@ -24,7 +24,6 @@ rows are a Monte Carlo over shared spectra, correlated by design.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +126,8 @@ def _chunk_counts(n_samples: int) -> list[int]:
 def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
     if workers <= 1 or n_chunks <= 1:
         return [worker_fn(k) for k in range(n_chunks)]
+    from concurrent.futures import ThreadPoolExecutor  # a serial run skips the import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker_fn, range(n_chunks)))
 

@@ -413,18 +413,24 @@ def test_golden_runs_are_identical_for_any_worker_count_and_match_direct_calls(
         assert [dict(zip(header, map(json.loads, line.split(",")))) for line in lines[1:]] == expected
 
 
-def test_structured_average_explicit_rows_are_exact(tmp_path):
-    # a fixed spectrum needs no sampling, in either spectrum mode
+def test_structured_average_explicit_rows_are_exact(tmp_path, capsys):
+    # a fixed spectrum needs no sampling, in either spectrum mode, and the
+    # stderr line says that n_samples went unused
     command, text, _, _ = GOLDEN["structured-explicit"]
     results = []
     for mode in ("annealed", "quenched"):
         code, out = _run(tmp_path, mode, text + f"spectrum_mode = {mode}\n", command=command)
         assert code == 0
+        assert capsys.readouterr().err.rstrip().endswith("; rows exact, n_samples unused")
         rows = json.loads(out.read_text())["results"]
         assert [(row["std_error"], row["rms_std_error"]) for row in rows] == [(0.0, 0.0)] * 4
         assert rows[0]["mean_sq"] == 0.0 and all(row["mean_sq"] > 0.0 for row in rows[1:])
         results.append(rows)
     assert results[0] == results[1]
+    code, _ = _run(tmp_path, "gue", text.replace("ensemble = explicit", "ensemble = gue").replace(
+        "levels = [0, 1, 2.5, 4]\n", ""), command=command)
+    assert code == 0
+    assert capsys.readouterr().err.rstrip().endswith("(seed 27)")
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,28 @@ def test_degree_two_weingarten_reproduces_theorem_rhs(d_s, d_e):
         assert _rel(rows @ wg @ cols, theorem_rhs(m, d_s, d_e)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_weingarten_matrix_is_the_gram_pseudo_inverse(n, d):
+    # Gram(sigma, tau) = d^#cycles(sigma^-1 tau); singular for d < n
+    perms = list(itertools.permutations(range(n)))
+
+    def cycles(p):
+        seen, count = set(), 0
+        for start in range(n):
+            count += start not in seen
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = p[k]
+        return count
+
+    inverse = [tuple(np.argsort(s)) for s in perms]
+    gram = np.array([[float(d) ** cycles([s_inv[t[k]] for k in range(n)]) for t in perms] for s_inv in inverse])
+    wg = weingarten_matrix(n, d)
+    assert np.abs(wg - np.linalg.pinv(gram, 1e-10, hermitian=True)).max() <= 1e-12 * np.abs(wg).max()
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_degree_two_weingarten_reproduces_twirl_constants(d):
     # U^dagger A U X U^dagger B U: rows of U (q, v), of conj(U) (p, u), with
