@@ -20,7 +20,6 @@ from .linalg import (
     hs_norm,
     partial_trace_env,
     partial_trace_sys,
-    tensor,
 )
 from .states import (
     BipartiteState,
@@ -80,7 +79,6 @@ __all__ = [
     "hs_norm",
     "partial_trace_env",
     "partial_trace_sys",
-    "tensor",
     "BipartiteState",
     "SchmidtDecomposition",
     "classical_state",

@@ -362,6 +362,8 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
             errors.append("levels: required by the explicit ensemble")
         elif levels is not None and dim is not None and levels.size != dim:
             errors.append(f"levels: needs {dim} levels, got {levels.size}")
+        if "mean_spacing" in entries:
+            errors.append("mean_spacing: only meaningful for the poisson and gue ensembles")
     elif levels is not None:
         errors.append("levels: only meaningful for the explicit ensemble")
     start, stop = config.time_start, config.time_stop

@@ -1,10 +1,12 @@
 """Local dephasing and the Hilbert-Schmidt discord measure.
 
-The dephasing map projects system operators onto the eigenbasis of the
-reduced system state; applied to one side of a bipartite state it leaves
-both marginals invariant but generally changes the total state. The
-residual Hilbert-Schmidt distance is the discord measure: zero exactly
-for classically correlated states.
+The dephasing map keeps the diagonal of a system operator in the
+eigenbasis of the reduced system state, a unitary V, and drops the rest:
+Phi(A) = V diag(V^dagger A V) V^dagger. Applied to one side of a
+bipartite state it keeps the system-diagonal blocks in the V x 1 frame,
+leaves both marginals invariant and generally changes the total state.
+The residual Hilbert-Schmidt distance is the discord measure: zero
+exactly for classically correlated states.
 """
 
 from __future__ import annotations
@@ -13,80 +15,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_GAP, as_square, eig_hermitian, hs_norm, tensor
+from .linalg import DEGENERACY_GAP, as_square, dagger, eig_hermitian, hs_norm, require_unitary
 from .states import BipartiteState, purity
 
 CLASSICALITY_TOL = 1e-8
-BASIS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DephasingBasis:
-    """Complete set of rank-one projectors from a marginal eigenbasis.
+    """Orthonormal dephasing basis from a marginal eigenbasis.
 
-    ``projectors`` is a stack of d_s Hermitian rank-one matrices summing
-    to the identity, ordered by ascending marginal eigenvalue.
-    ``degenerate`` flags spectra with any gap below the eigensolver's
-    degeneracy threshold; the basis is then a convention (the
-    deterministic tie-broken one), not a property of the state alone.
+    ``vectors`` is a d_s x d_s unitary whose columns are the basis
+    vectors, ordered by ascending marginal eigenvalue. ``degenerate``
+    flags spectra with any gap below the eigensolver's degeneracy
+    threshold; the basis is then a convention (the deterministic
+    tie-broken one), not a property of the state alone.
     """
 
-    projectors: np.ndarray
+    vectors: np.ndarray
     source_eigenvalues: np.ndarray
     degenerate: bool
 
     def __post_init__(self) -> None:
-        proj = np.asarray(self.projectors, dtype=complex)
-        if proj.ndim != 3 or proj.shape[1] != proj.shape[2] or proj.shape[0] != proj.shape[1]:
-            raise ValueError(f"expected a stack of d square d x d projectors, got {proj.shape}")
-        d = proj.shape[1]
-        eye = np.eye(d)
-        if np.abs(proj.sum(axis=0) - eye).max() > BASIS_TOL:
-            raise ValueError("projectors do not sum to the identity")
-        for mu in range(d):
-            pm = proj[mu]
-            if np.abs(pm - pm.conj().T).max() > BASIS_TOL:
-                raise ValueError("projectors must be Hermitian")
-            if np.abs(pm @ pm - pm).max() > BASIS_TOL:
-                raise ValueError("projectors must be idempotent")
-            if abs(np.trace(pm).real - 1.0) > BASIS_TOL:
-                raise ValueError("projectors must have unit trace (rank one)")
-        for mu in range(d):
-            for nu in range(mu + 1, d):
-                if np.abs(proj[mu] @ proj[nu]).max() > BASIS_TOL:
-                    raise ValueError("projectors must be mutually orthogonal")
-        object.__setattr__(self, "projectors", proj)
+        object.__setattr__(self, "vectors", require_unitary(self.vectors, "vectors"))
         object.__setattr__(
             self, "source_eigenvalues", np.asarray(self.source_eigenvalues, dtype=float)
         )
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return self.vectors.shape[0]
 
 
 def eigenbasis_of_marginal(state: BipartiteState) -> DephasingBasis:
     """Dephasing basis from the eigenvectors of the reduced system state."""
     eig = eig_hermitian(state.marginal_system())
-    vecs = eig.eigenvectors
-    proj = np.einsum("im,jm->mij", vecs, vecs.conj())
     gaps = np.diff(eig.eigenvalues)
     degenerate = bool(gaps.size and gaps.min() < DEGENERACY_GAP)
-    return DephasingBasis(proj, eig.eigenvalues, degenerate)
+    return DephasingBasis(eig.eigenvectors, eig.eigenvalues, degenerate)
 
 
 def dephase_local(a, basis: DephasingBasis) -> np.ndarray:
-    """Apply the dephasing map to a system operator: sum_mu pi_mu A pi_mu."""
+    """Apply the dephasing map to a system operator: V diag(V^dagger A V) V^dagger."""
     a = as_square(a, "a")
     if a.shape != (basis.dim, basis.dim):
         raise ValueError(f"operator shape {a.shape} does not match basis dimension {basis.dim}")
-    p = basis.projectors
-    return np.einsum("mij,jk,mkl->il", p, a, p)
+    v = basis.vectors
+    return (v * np.diagonal(dagger(v) @ a @ v)) @ dagger(v)
 
 
 def dephase_total(state: BipartiteState, basis: DephasingBasis | None = None) -> BipartiteState:
     """Dephase the system side of a total state: sum_mu Pi_mu rho Pi_mu.
 
+    Only the system-diagonal blocks of rho in the V x 1 frame survive.
     Both marginals are invariant; the purity never increases. With no
     basis given, the marginal eigenbasis of ``state`` is used.
     """
@@ -94,12 +75,12 @@ def dephase_total(state: BipartiteState, basis: DephasingBasis | None = None) ->
         basis = eigenbasis_of_marginal(state)
     if basis.dim != state.d_s:
         raise ValueError(f"basis dimension {basis.dim} does not match d_s = {state.d_s}")
-    eye_env = np.eye(state.d_e, dtype=complex)
-    out = np.zeros_like(state.rho)
-    for pm in basis.projectors:
-        big = tensor(pm, eye_env)
-        out += big @ state.rho @ big
-    out = 0.5 * (out + out.conj().T)
+    v = basis.vectors
+    r = state.rho.reshape(state.d_s, state.d_e, state.d_s, state.d_e)
+    # block mu is <v_mu| rho |v_mu>, an operator on the environment
+    blocks = np.einsum("am,akbl,bm->mkl", v.conj(), r, v)
+    out = np.einsum("im,mkl,jm->ikjl", v, blocks, v.conj()).reshape(state.rho.shape)
+    out = 0.5 * (out + dagger(out))
     return BipartiteState(state.d_s, state.d_e, out)
 
 

@@ -1,7 +1,7 @@
 """Dense complex-matrix primitives.
 
-Tensor products, partial traces over either factor, Hilbert-Schmidt
-geometry, and a cyclic Jacobi eigensolver for complex Hermitian matrices
+Partial traces over either factor, Hilbert-Schmidt geometry, unitarity
+checks, and a cyclic Jacobi eigensolver for complex Hermitian matrices
 with a deterministic ordering convention for degenerate spectra.
 
 Matrices are plain ``numpy`` arrays of complex128. Where it costs nothing,
@@ -71,11 +71,6 @@ def require_unitary(u, name: str = "matrix", tol: float = UNITARITY_TOL) -> np.n
     if not is_unitary(u, tol):
         raise ValueError(f"{name} is not unitary within tolerance {tol}")
     return u
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(as_square(a, "a"), as_square(b, "b"))
 
 
 def partial_trace_env(x: np.ndarray, d_s: int, d_e: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Bipartite density matrices and pure-state structure.
 
 Construction from pure vectors and probability tables, Schmidt
-decomposition (via the Gram matrix of the reshaped amplitude matrix),
-purity, the generalized concurrence, and random-state generators drawn
-from the Hilbert-Schmidt ensemble.
+decomposition (one singular value decomposition of the reshaped
+amplitude matrix), purity, the generalized concurrence, and random-state
+generators drawn from the Hilbert-Schmidt ensemble.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from .linalg import as_square, dagger, eig_hermitian, hs_norm_sq, partial_trace_
 from .randmat import RngHandle, haar_unitary
 
 STATE_TOL = 1e-10
-# Gram-matrix eigenvalues carry an absolute noise floor near machine
-# epsilon, so coefficients (their square roots) below ~1e-8 are pure
-# noise; the cutoff sits above that to keep reconstruction at 1e-10.
-SCHMIDT_TRUNCATION = 1e-7
 
 
 @dataclass(frozen=True)
@@ -67,10 +63,10 @@ class BipartiteState:
 class SchmidtDecomposition:
     """Biorthogonal expansion of a bipartite pure vector.
 
-    ``coefficients`` are nonnegative and descending with squares summing
+    ``coefficients`` are positive and descending with squares summing
     to one; the two vector families are orthonormal columns. Coefficients
-    below ``SCHMIDT_TRUNCATION`` are dropped, so the rank can be smaller
-    than d_s.
+    at the rounding level of the largest, lambda_0 max(d_s, d_e) eps or
+    below, are dropped, so the rank can be smaller than min(d_s, d_e).
     """
 
     coefficients: np.ndarray
@@ -82,11 +78,7 @@ class SchmidtDecomposition:
         return int(self.coefficients.size)
 
     def reconstruct(self) -> np.ndarray:
-        cols = [
-            lam * np.kron(self.system_vectors[:, i], self.environment_vectors[:, i])
-            for i, lam in enumerate(self.coefficients)
-        ]
-        return np.sum(cols, axis=0)
+        return ((self.system_vectors * self.coefficients) @ self.environment_vectors.T).reshape(-1)
 
 
 def _as_state_vector(psi, d_s: int, d_e: int) -> np.ndarray:
@@ -108,24 +100,17 @@ def from_pure(psi, d_s: int, d_e: int) -> BipartiteState:
 def schmidt(psi, d_s: int, d_e: int) -> SchmidtDecomposition:
     """Schmidt decomposition of a normalized bipartite vector.
 
-    The amplitude matrix C (d_s by d_e) is diagonalized through the
-    Hermitian Gram matrix C C^dagger; environment vectors follow by
-    applying the adjoint amplitude matrix and normalizing.
+    The amplitude matrix C (d_s by d_e) has the singular value
+    decomposition C = U diag(lambda) W^T: the coefficients are its
+    singular values, the system vectors the columns of U and the
+    environment vectors the columns of W. The singular values keep their
+    relative accuracy, so small coefficients are not lost to the squared
+    condition number of the Gram matrix C C^dagger.
     """
     psi = _as_state_vector(psi, d_s, d_e)
-    c = psi.reshape(d_s, d_e)
-    gram = c @ dagger(c)
-    eig = eig_hermitian(gram)
-    lams = np.sqrt(np.clip(eig.eigenvalues[::-1], 0.0, None))
-    vecs = eig.eigenvectors[:, ::-1]
-    keep = lams > SCHMIDT_TRUNCATION
-    lams = lams[keep]
-    sys_vecs = vecs[:, keep]
-    env_vecs = np.empty((d_e, lams.size), dtype=complex)
-    for i in range(lams.size):
-        chi = (dagger(c) @ sys_vecs[:, i]).conj()
-        env_vecs[:, i] = chi / np.linalg.norm(chi)
-    return SchmidtDecomposition(lams, sys_vecs, env_vecs)
+    u, lams, wt = np.linalg.svd(psi.reshape(d_s, d_e), full_matrices=False)
+    keep = lams > lams[0] * max(d_s, d_e) * np.finfo(float).eps
+    return SchmidtDecomposition(lams[keep], u[:, keep], wt[keep].T)
 
 
 def purity(state: BipartiteState) -> float:
@@ -136,10 +121,12 @@ def purity(state: BipartiteState) -> float:
 def concurrence_pure(psi, d_s: int, d_e: int) -> float:
     """Generalized concurrence sqrt(2 (1 - sum lambda_i^4)) of a pure state.
 
-    Vanishes exactly for product states.
+    Summed as 2 sqrt(sum_{i<j} lambda_i^2 lambda_j^2), which equals it for
+    normalized coefficients and, unlike 1 - sum lambda_i^4, does not
+    cancel for nearly product states. Vanishes exactly for product states.
     """
-    lams = schmidt(psi, d_s, d_e).coefficients
-    return float(np.sqrt(max(2.0 * (1.0 - np.sum(lams**4)), 0.0)))
+    p = schmidt(psi, d_s, d_e).coefficients ** 2
+    return float(2.0 * np.sqrt(np.sum(np.triu(np.outer(p, p), 1))))
 
 
 def classical_state(

@@ -106,12 +106,11 @@ class ChoiCheckResult:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Witness trajectory along a time grid, with diagnostics."""
+    """Witness trajectory along a time grid, with the trace-distance diagnostic."""
 
     time_grid: np.ndarray
     hs_distance: np.ndarray
-    trace_distance: np.ndarray | None
-    metadata: dict
+    trace_distance: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -367,28 +366,24 @@ def witness_trajectory(
     rho_deph: BipartiteState,
     se: StructuredEvolution,
     time_grid,
-    include_trace_distance: bool = True,
-    metadata: dict | None = None,
 ) -> WitnessResult:
     """Witness distance along a time grid for one fixed evolution.
 
     Also records the trace distance between the reduced evolved states
     as a diagnostic (the quantity used by trace-distance-based
-    detection schemes).
+    detection schemes). Both are norms of the one reduced difference
+    Tr_E(U M U^dagger), M = rho - rho_deph.
     """
     m = _check_state_pair(rho, rho_deph)
     times = np.asarray(time_grid, dtype=float).reshape(-1)
     hs_vals = np.empty(times.size)
-    td_vals = np.empty(times.size) if include_trace_distance else None
+    td_vals = np.empty(times.size)
     for i, t in enumerate(times):
         u = se.evolve(t)
-        udag = dagger(u)
-        hs_vals[i] = hs_norm(partial_trace_env(u @ m @ udag, rho.d_s, rho.d_e))
-        if td_vals is not None:
-            red = partial_trace_env(u @ rho.rho @ udag, rho.d_s, rho.d_e)
-            red_deph = partial_trace_env(u @ rho_deph.rho @ udag, rho.d_s, rho.d_e)
-            td_vals[i] = trace_distance(red, red_deph)
-    return WitnessResult(times, hs_vals, td_vals, dict(metadata or {}))
+        red = partial_trace_env(u @ m @ dagger(u), rho.d_s, rho.d_e)
+        hs_vals[i] = hs_norm(red)
+        td_vals[i] = _half_trace_norm(red)
+    return WitnessResult(times, hs_vals, td_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -531,5 +526,8 @@ def trace_distance(a, b) -> float:
     b = require_hermitian(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    vals = eig_hermitian(a - b).eigenvalues
-    return 0.5 * float(np.abs(vals).sum())
+    return _half_trace_norm(a - b)
+
+
+def _half_trace_norm(x: np.ndarray) -> float:
+    return 0.5 * float(np.abs(eig_hermitian(x).eigenvalues).sum())

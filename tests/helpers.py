@@ -54,8 +54,9 @@ def haar_np(rng: np.random.Generator, d: int) -> np.ndarray:
     return q / phases
 
 
-def discord_oracle(rho: np.ndarray, d_s: int, d_e: int) -> float:
-    """Hilbert-Schmidt discord via numpy.linalg.eigh and explicit sums."""
+def discord_oracle(rho: np.ndarray, d_s: int, d_e: int) -> tuple[float, np.ndarray]:
+    """Hilbert-Schmidt discord and the dephased state, via numpy.linalg.eigh
+    and explicit sums."""
     rho_s = ptrace_env_loops(rho, d_s, d_e)
     _, vecs = np.linalg.eigh(rho_s)
     deph = np.zeros_like(rho)
@@ -64,7 +65,7 @@ def discord_oracle(rho: np.ndarray, d_s: int, d_e: int) -> float:
         big = kron_loops(proj, np.eye(d_e, dtype=complex))
         deph += big @ rho @ big
     diff = rho - deph
-    return float(np.sqrt(np.trace(diff.conj().T @ diff).real))
+    return float(np.sqrt(np.trace(diff.conj().T @ diff).real)), deph
 
 
 def hs_norm_np(a: np.ndarray) -> float:

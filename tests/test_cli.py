@@ -308,16 +308,16 @@ GOLDEN = {
         "witness-trajectory",
         "command = witness-trajectory\nd_S = 2\nd_E = 2\nseed = 23\n"
         "pure = [0.6, 0, 0.48i, 0.64]\nensemble = explicit\nlevels = [0, 1, 2.5, 4]\n"
-        "mean_spacing = 0.5\ntime_start = 0\ntime_stop = 3\ntime_steps = 4\n",
+        "time_start = 0\ntime_stop = 3\ntime_steps = 4\n",
         {
             "command": "witness-trajectory", "d_S": 2, "d_E": 2, "seed": 23,
             "pure": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.48], [0.64, 0.0]],
-            "ensemble": "explicit", "mean_spacing": 0.5, "levels": [0.0, 1.0, 2.5, 4.0],
+            "ensemble": "explicit", "mean_spacing": 1.0, "levels": [0.0, 1.0, 2.5, 4.0],
             "time_start": 0.0, "time_stop": 3.0, "time_steps": 4,
         },
         lambda: _trajectory_direct(
             from_pure(PURE, 2, 2),
-            SpectrumEnsemble("explicit", 4, 0.5, np.array([0, 1, 2.5, 4.0])),
+            SpectrumEnsemble("explicit", 4, explicit_levels=np.array([0, 1, 2.5, 4.0])),
             23, np.linspace(0.0, 3.0, 4),
         ),
     ),
@@ -516,6 +516,10 @@ CONFIG_ERRORS = [
     ("witness-trajectory", EXPLICIT, "levels: required by the explicit ensemble"),
     ("witness-trajectory", EXPLICIT + "levels = [0, 1]\n", "levels: needs 4 levels, got 2"),
     ("witness-trajectory", TRAJECTORY + "levels = [0, 1, 2, 3]\n", "levels: only meaningful for the explicit ensemble"),
+    (
+        "witness-trajectory", EXPLICIT + "levels = [0, 1, 2, 3]\nmean_spacing = 0.5\n",
+        "mean_spacing: only meaningful for the poisson and gue ensembles",
+    ),
     ("witness-trajectory", EXPLICIT + "levels = 3\n", "levels: expected a nonempty bracket list of real numbers"),
     ("witness-trajectory", EXPLICIT + "levels = [0, 1i, 2, 3]\n", "levels: entry 1j is not a real number"),
     (

@@ -11,53 +11,10 @@ from dephwit.linalg import (
     hs_norm,
     partial_trace_env,
     partial_trace_sys,
-    tensor,
 )
-from helpers import haar_np, kron_loops, np_rng, ptrace_env_loops, random_hermitian_np
+from helpers import haar_np, np_rng, ptrace_env_loops, random_hermitian_np
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# tensor
-
-
-def test_tensor_identity_case():
-    np.testing.assert_allclose(tensor(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_tensor_diagonal_case():
-    out = tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    np.testing.assert_allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
-def test_tensor_matches_index_definition():
-    rng = np_rng(11)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(tensor(a, b), kron_loops(a, b), atol=1e-14)
-
-
-def test_tensor_trace_multiplicative():
-    rng = np_rng(12)
-    for _ in range(5):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.trace(tensor(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_tensor_associative_and_bilinear(seed):
-    rng = np_rng(seed)
-    a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    lhs = tensor(tensor(a, b), c)
-    rhs = tensor(a, tensor(b, c))
-    assert np.abs(lhs - rhs).max() <= 1e-14
-    alpha = complex(rng.normal(), rng.normal())
-    np.testing.assert_allclose(
-        tensor(alpha * a + b, c), alpha * tensor(a, c) + tensor(b, c), atol=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +26,10 @@ def test_partial_trace_product_operator():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     np.testing.assert_allclose(
-        partial_trace_env(tensor(a, b), 2, 3), a * np.trace(b), atol=1e-12
+        partial_trace_env(np.kron(a, b), 2, 3), a * np.trace(b), atol=1e-12
     )
     np.testing.assert_allclose(
-        partial_trace_sys(tensor(a, b), 2, 3), b * np.trace(a), atol=1e-12
+        partial_trace_sys(np.kron(a, b), 2, 3), b * np.trace(a), atol=1e-12
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dephwit.dephasing import dephase_total
-from dephwit.linalg import dagger, hs_norm, tensor
+from dephwit.linalg import dagger, hs_norm
 from dephwit.randmat import (
     RngHandle,
     SpectrumEnsemble,
@@ -20,6 +20,7 @@ from dephwit.states import (
     from_pure,
     random_mixed,
     random_pure,
+    schmidt,
 )
 from dephwit import witness
 from dephwit.dephasing import discord_delta
@@ -539,6 +540,25 @@ def test_pure_state_discord_is_concurrence_over_sqrt_two():
         delta = discord_delta(state)
         conc = concurrence_pure(psi, d_s, d_e)
         assert abs(delta - conc / math.sqrt(2.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 5)])
+def test_nearly_product_pure_states_keep_their_small_concurrence(dims, eps):
+    # sqrt(1 - eps^2)|00> + eps|11> under 20 local rotations U (x) W has
+    # C = 2 eps sqrt(1 - eps^2) = sqrt(2) delta; rounding of order 1e-16 in
+    # the amplitudes bounds the relative accuracy of both at about 1e-16/eps
+    d_s, d_e = dims
+    amplitudes = np.zeros((d_s, d_e), dtype=complex)
+    amplitudes[0, 0], amplitudes[1, 1] = math.sqrt(1.0 - eps**2), eps
+    exact = 2.0 * eps * math.sqrt(1.0 - eps**2)
+    rng = np_rng(152)
+    for _ in range(20):
+        psi = np.kron(haar_np(rng, d_s), haar_np(rng, d_e)) @ amplitudes.reshape(-1)
+        assert schmidt(psi, d_s, d_e).rank == 2
+        assert abs(concurrence_pure(psi, d_s, d_e) - exact) <= 1e-14 / eps * exact
+        delta = discord_delta(from_pure(psi, d_s, d_e))
+        assert abs(math.sqrt(2.0) * delta - exact) <= 1e-14 / eps * exact
 
 
 # ---------------------------------------------------------------------------
