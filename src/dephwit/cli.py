@@ -11,6 +11,8 @@ is still required but unused, and the stderr line says so.
 
 The Monte Carlo commands run on the ``workers`` key of the config, else
 on the ``DEPHWIT_WORKERS`` environment variable, else on one thread.
+Neither has an upper limit, but a run starts at most ``os.cpu_count()``
+threads; results are the same for any worker count.
 Exit status: 0 on success, 1 when the run fails or its output cannot be
 written (``DEPHWIT_WORKERS`` not a positive integer included), 2 when the
 config cannot be read or is invalid; each problem is one line on stderr.

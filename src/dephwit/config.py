@@ -80,12 +80,15 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """JSON-safe echo of the experiment definition: the command and
-        each set key of ``KEYS`` that the command accepts and echoes."""
+        each set key of ``KEYS`` that the command accepts and echoes
+        (``mean_spacing`` only with the poisson and gue ensembles)."""
         out: dict[str, Any] = {"command": self.command}
         for key in KEYS:
             value = getattr(self, key.field)
             if isinstance(value, np.ndarray) and np.iscomplexobj(value):
                 value = np.stack([value.real, value.imag], axis=-1)  # amplitudes as [re, im] pairs
+            if key.name == "mean_spacing" and self.ensemble_kind == "explicit":
+                continue  # explicit levels are used unscaled
             if key.echo and self.command in key.commands and value is not None:
                 out[key.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out

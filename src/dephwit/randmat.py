@@ -6,9 +6,10 @@ time evolutions W exp(-iDt) W^dagger, and the normalized Fourier
 transform of the level density.
 
 All randomness flows through :class:`RngHandle`, a seeded counter-based
-Philox stream with hierarchical derivation. Normal variates use the
-Marsaglia polar method on top of the raw uniform stream, so a handle's
-output is pinned entirely by (seed, spawn key).
+Philox stream with hierarchical derivation. Uniforms come from numpy's
+``Generator.random`` and normals from its ``standard_normal`` (a ziggurat)
+on that stream, so a handle's output is pinned entirely by (seed, spawn key)
+and the numpy version.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_square, dagger, require_unitary
+from .linalg import dagger, require_unitary
 
-PHILOX_ALGORITHM = "philox4x64"
 ENSEMBLE_KINDS = ("poisson", "gue", "explicit")
 
 
@@ -28,20 +28,17 @@ ENSEMBLE_KINDS = ("poisson", "gue", "explicit")
 class RngHandle:
     """Deterministic PRNG stream identified by a 64-bit seed and a spawn key.
 
-    Identical (seed, spawn_key, algorithm) triples reproduce identical
-    sample sequences bit for bit. ``derive`` returns statistically
-    independent child streams, used to pin Monte Carlo results regardless
-    of how work is scheduled across workers.
+    numpy's ``Generator`` on ``Philox(SeedSequence(seed, spawn_key))``: equal
+    (seed, spawn_key) pairs give equal ``random`` and ``standard_normal``
+    sequences bit for bit. ``derive`` returns independent child streams,
+    which pin Monte Carlo results however the work is split across workers.
     """
 
     seed: int
     spawn_key: tuple[int, ...] = ()
-    algorithm: str = PHILOX_ALGORITHM
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.algorithm != PHILOX_ALGORITHM:
-            raise ValueError(f"unsupported PRNG algorithm: {self.algorithm!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must be a 64-bit nonnegative integer")
         self.seed = int(self.seed)
@@ -58,27 +55,8 @@ class RngHandle:
         return self._gen.random(shape)
 
     def normals(self, shape) -> np.ndarray:
-        """Standard normal variates via the vectorized Marsaglia polar method."""
-        n = int(np.prod(shape))
-        out = np.empty(n)
-        have = 0
-        while have < n:
-            pairs = (n - have + 1) // 2
-            m = int(pairs / 0.78) + 8  # acceptance rate is pi/4
-            u = 2.0 * self._gen.random((m, 2)) - 1.0
-            ssq = u[:, 0] ** 2 + u[:, 1] ** 2
-            keep = (ssq > 0.0) & (ssq < 1.0)
-            u = u[keep]
-            ssq = ssq[keep]
-            factor = np.sqrt(-2.0 * np.log(ssq) / ssq)
-            draw = (u * factor[:, None]).reshape(-1)
-            take = min(draw.size, n - have)
-            out[have : have + take] = draw[:take]
-            have += take
-        return out.reshape(shape)
-
-    def integers(self, low: int, high: int, shape=None):
-        return self._gen.integers(low, high, size=shape)
+        """Standard normal variates."""
+        return self._gen.standard_normal(shape)
 
 
 def ginibre(d: int, rng: RngHandle, size: int | None = None) -> np.ndarray:

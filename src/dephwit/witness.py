@@ -24,6 +24,7 @@ rows are a Monte Carlo over shared spectra, correlated by design.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,8 @@ def _chunk_counts(n_samples: int) -> list[int]:
 
 
 def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
+    # results do not depend on the worker count, so threads beyond the cores buy nothing
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or n_chunks <= 1:
         return [worker_fn(k) for k in range(n_chunks)]
     from concurrent.futures import ThreadPoolExecutor  # a serial run skips the import
@@ -236,19 +239,15 @@ def pure_state_rms_prefactor(d_s: int, d_e: int) -> float:
 def theorem_rhs(m, d_s: int, d_e: int) -> float:
     """Closed-form Haar average of || Tr_env(U M U^dagger) ||^2.
 
-    Two dimensional coefficients multiply the squared HS norm and the
-    squared trace of the Hermitian operator M.
+    ``haar_witness_prefactor_sq(d_s, d_e)`` multiplies the squared HS norm of
+    the Hermitian operator M, and the same factor with d_s and d_e swapped
+    multiplies its squared trace.
     """
     m = require_hermitian(m, "m")
     if m.shape[0] != d_s * d_e:
         raise ValueError(f"operator dimension {m.shape[0]} does not match d_s*d_e = {d_s * d_e}")
-    if d_s * d_e < 2:
-        raise ValueError("total dimension must be at least 2")
-    denom = d_s**2 * d_e**2 - 1
-    norm_coeff = (d_s**2 * d_e - d_e) / denom
-    trace_coeff = (d_s * d_e**2 - d_s) / denom
-    tr = float(np.trace(m).real)
-    return norm_coeff * float(hs_norm(m)) ** 2 + trace_coeff * tr**2
+    norm_sq, tr = float(hs_norm(m)) ** 2, float(np.trace(m).real)
+    return haar_witness_prefactor_sq(d_s, d_e) * norm_sq + haar_witness_prefactor_sq(d_e, d_s) * tr**2
 
 
 def _haar_mean_sq(m: np.ndarray, d_s: int, d_e: int, n_samples: int, rng: RngHandle, workers: int) -> McEstimate:

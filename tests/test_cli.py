@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ GOLDEN = {
         {
             "command": "witness-trajectory", "d_S": 2, "d_E": 2, "seed": 23,
             "pure": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.48], [0.64, 0.0]],
-            "ensemble": "explicit", "mean_spacing": 1.0, "levels": [0.0, 1.0, 2.5, 4.0],
+            "ensemble": "explicit", "levels": [0.0, 1.0, 2.5, 4.0],
             "time_start": 0.0, "time_stop": 3.0, "time_steps": 4,
         },
         lambda: _trajectory_direct(
@@ -342,7 +343,7 @@ GOLDEN = {
         {
             "command": "structured-average", "d_S": 2, "d_E": 2, "seed": 27,
             "pure": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.48], [0.64, 0.0]],
-            "ensemble": "explicit", "mean_spacing": 1.0, "levels": [0.0, 1.0, 2.5, 4.0],
+            "ensemble": "explicit", "levels": [0.0, 1.0, 2.5, 4.0],
             "time_start": 0.0, "time_stop": 3.0, "time_steps": 4, "n_samples": 1100,
             "spectrum_mode": "annealed",
         },
@@ -411,6 +412,13 @@ def test_golden_runs_are_identical_for_any_worker_count_and_match_direct_calls(
         header = lines[0].split(",")
         assert header == list(expected[0])
         assert [dict(zip(header, map(json.loads, line.split(",")))) for line in lines[1:]] == expected
+
+
+def test_version_matches_pyproject():
+    # results files record the version, so the package metadata must agree
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == __version__
 
 
 def test_structured_average_explicit_rows_are_exact(tmp_path, capsys):

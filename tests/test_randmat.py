@@ -41,8 +41,17 @@ def test_rng_derived_streams_differ():
 def test_rng_rejects_bad_arguments():
     with pytest.raises(ValueError):
         RngHandle(-1)
-    with pytest.raises(ValueError):
-        RngHandle(3, algorithm="mt19937")
+
+
+@pytest.mark.parametrize(
+    "seed, key, shape",
+    [(0, (), 5), (123456789, (2, 0, 7), (3, 4)), (2**64 - 1, (1,), (2, 3, 5))],
+)
+def test_normals_are_numpys_standard_normal_on_the_philox_stream(seed, key, shape):
+    handle = RngHandle(seed).derive(*key)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    for _ in range(2):  # the second draw continues the same stream
+        assert np.array_equal(handle.normals(shape), gen.standard_normal(shape))
 
 
 def test_normals_moments():

@@ -770,6 +770,34 @@ def test_mc_results_identical_across_worker_counts():
     assert choi_1 == choi_2
 
 
+def test_worker_threads_are_capped_at_the_core_count(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        # runs every chunk on the calling thread, so no thread is started
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return list(map(fn, iterable))
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(witness.os, "cpu_count", lambda: 3)
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    n = 5 * MC_CHUNK
+    capped = theorem_mc_check(m, 2, 2, n, RngHandle(187), workers=10**6)
+    assert capped == theorem_mc_check(m, 2, 2, n, RngHandle(187), workers=1)
+    assert pools == [3]
+
+
 def _materialized_choi(a_op, b_op):
     # the dense per-sample Choi matrices, (count, d^2, d^2), as a reference
     d = a_op.shape[0]
