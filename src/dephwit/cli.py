@@ -1,21 +1,23 @@
 """Command-line driver for reproducible witness experiments.
 
-Usage: ``dephwit <command> --config <path> [--seed N] [--output PATH]
-[--format csv|json]``. Every run is pinned by its seed: the master seed
-spawns fixed substreams for state generation, operator draws, and the
-Monte Carlo chunks, so identical configs produce byte-identical output
-files for any worker count. Wall-clock timing goes to stderr only.
+Usage: ``dephwit <command> --config <path> --output <path>
+[--format csv|json]``. The config file describes the experiment and
+the command line says where its results go. Every run is pinned by the
+file's seed: the master seed spawns fixed substreams for state
+generation, operator draws, and the Monte Carlo chunks, so identical
+configs produce byte-identical output files for any worker count.
+Wall-clock timing goes to stderr only.
 A ``structured-average`` run with a fixed spectrum (quenched, or the
 explicit ensemble) has exact rows and draws nothing; its ``n_samples``
 is still required but unused, and the stderr line says so.
 
-The Monte Carlo commands run on the ``workers`` key of the config, else
-on the ``DEPHWIT_WORKERS`` environment variable, else on one thread.
-Neither has an upper limit, but a run starts at most ``os.cpu_count()``
-threads; results are the same for any worker count.
-Exit status: 0 on success, 1 when the run fails or its output cannot be
-written (``DEPHWIT_WORKERS`` not a positive integer included), 2 when the
-config cannot be read or is invalid; each problem is one line on stderr.
+The Monte Carlo commands run on ``DEPHWIT_WORKERS`` threads, one when
+the variable is unset. It has no upper limit, but a run starts at most
+``os.cpu_count()`` threads; results are the same for any worker count.
+Exit status: 0 on success, 1 when the run fails, its results are not
+finite or its output cannot be written (``DEPHWIT_WORKERS`` not a
+positive integer included), 2 when the config cannot be read or is
+invalid; each problem is one line on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, FORMATS, ConfigError, ExperimentConfig, parse_config
+from .config import COMMANDS, ConfigError, ExperimentConfig, parse_config
 from .dephasing import CLASSICALITY_TOL, dephase_total, eigenbasis_of_marginal
 from .linalg import dagger, hs_norm
 from .randmat import RngHandle, SpectrumEnsemble, ginibre, structured_evolution
@@ -48,6 +50,7 @@ from .witness import (
 )
 
 WORKERS_ENV = "DEPHWIT_WORKERS"
+FORMATS = ("csv", "json")
 
 # fixed substream layout under the master seed
 _STATE_STREAM = 0
@@ -55,9 +58,7 @@ _OPERATOR_STREAM = 1
 _MC_STREAM = 2
 
 
-def _effective_workers(config: ExperimentConfig) -> int:
-    if config.workers is not None:
-        return config.workers
+def _effective_workers() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -260,10 +261,14 @@ def run(config: ExperimentConfig) -> dict:
     """Execute one validated config and return the output record.
 
     The record holds only deterministic fields, so repeated runs of one
-    config serialize byte-identically.
+    config serialize byte-identically. Raises ValueError when a result
+    is not finite, which neither output format can hold.
     """
-    workers = _effective_workers(config)
-    results = _RUNNERS[config.command](config, RngHandle(config.seed), workers)
+    results = _RUNNERS[config.command](config, RngHandle(config.seed), _effective_workers())
+    rows = [results] if isinstance(results, dict) else results
+    bad = sorted({key for row in rows for key, value in row.items() if not math.isfinite(value)})
+    if bad:
+        raise ValueError(f"results are not finite: {', '.join(bad)}")
     return {
         "command": config.command,
         "config": config.to_dict(),
@@ -323,9 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--output", help="override the output path")
-        p.add_argument("--format", choices=FORMATS, help="override the output format")
+        p.add_argument("--output", required=True, help="path of the results file")
+        p.add_argument("--format", choices=FORMATS, default="json", help="results format (default json)")
     return parser
 
 
@@ -333,19 +337,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(text, command=args.command).with_overrides(
-            seed=args.seed, output=args.output, format=args.format
-        )
+        config = parse_config(text, args.command)
     except ConfigError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
-        return 2
-    if config.output is None:
-        print("config error: output: required (set the key or pass --output)", file=sys.stderr)
         return 2
     started = time.perf_counter()
     try:
@@ -355,15 +354,15 @@ def main(argv=None) -> int:
         return 1
     duration = time.perf_counter() - started
     try:
-        write_output(record, config.output, config.format)
+        write_output(record, args.output, args.format)
     except OSError as exc:
-        print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return 1
     exact = config.command == "structured-average" and (
         config.ensemble_kind == "explicit" or config.spectrum_mode == "quenched"
     )
     print(
-        f"{config.command}: wrote {config.output} in {duration:.3f}s (seed {config.seed})"
+        f"{config.command}: wrote {args.output} in {duration:.3f}s (seed {config.seed})"
         + ("; rows exact, n_samples unused" if exact else ""),
         file=sys.stderr,
     )

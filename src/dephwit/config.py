@@ -3,14 +3,17 @@
 The format is line-oriented: one ``key = value`` per line, ``#`` starts
 a comment, arrays are bracketed comma lists (nested for tables), and
 complex amplitudes are written like ``0.5+0.25i`` (whitespace anywhere).
-``KEYS`` lists every key but ``command`` with its check, default, echo
-and the commands that accept or require it. Unknown keys are rejected,
-and every problem is reported, in no fixed order.
+A file describes one experiment: ``KEYS`` lists every key with its
+check, default and the commands that accept or require it, and the
+command itself comes from the caller (the CLI subcommand). Where the
+results go, their format and the worker count are not experiment
+settings and have no keys. Unknown keys are rejected, and every problem
+is reported, in no fixed order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -27,7 +30,6 @@ COMMANDS = (
     "structured-average",
 )
 
-FORMATS = ("csv", "json")
 SPECTRUM_MODES = ("annealed", "quenched")
 SEED_MAX = 2**64 - 1
 
@@ -58,29 +60,11 @@ class ExperimentConfig:
     time_stop: float | None
     time_steps: int | None
     n_samples: int | None
-    output: str | None
-    format: str
-    workers: int | None
     spectrum_mode: str
-
-    def with_overrides(
-        self,
-        seed: int | None = None,
-        output: str | None = None,
-        format: str | None = None,
-    ) -> "ExperimentConfig":
-        """Copy with the given fields replaced; a seed is range-checked as in a file."""
-        if seed is not None:
-            try:
-                _KEY["seed"].check(seed)
-            except ValueError as exc:
-                raise ConfigError([f"seed: {exc}"]) from None
-        updates = {"seed": seed, "output": output, "format": format}
-        return replace(self, **{k: v for k, v in updates.items() if v is not None})
 
     def to_dict(self) -> dict:
         """JSON-safe echo of the experiment definition: the command and
-        each set key of ``KEYS`` that the command accepts and echoes
+        each set key of ``KEYS`` that the command accepts
         (``mean_spacing`` only with the poisson and gue ensembles)."""
         out: dict[str, Any] = {"command": self.command}
         for key in KEYS:
@@ -89,7 +73,7 @@ class ExperimentConfig:
                 value = np.stack([value.real, value.imag], axis=-1)  # amplitudes as [re, im] pairs
             if key.name == "mean_spacing" and self.ensemble_kind == "explicit":
                 continue  # explicit levels are used unscaled
-            if key.echo and self.command in key.commands and value is not None:
+            if self.command in key.commands and value is not None:
                 out[key.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
@@ -167,7 +151,6 @@ class Key:
     commands: tuple[str, ...]
     required: bool = False
     default: Any = None
-    echo: bool = True
 
 
 def _integer(minimum: int, maximum: int | None = None):
@@ -242,10 +225,6 @@ KEYS = (
     Key("d_S", "d_s", _integer(1), COMMANDS, required=True),
     Key("d_E", "d_e", _integer(1), COMMANDS, required=True),
     Key("seed", "seed", _integer(0, SEED_MAX), COMMANDS, required=True),
-    # not echoed: results files stay byte-identical across outputs, formats and worker counts
-    Key("output", "output", str, COMMANDS, echo=False),
-    Key("format", "format", _choice(FORMATS), COMMANDS, default="json", echo=False),
-    Key("workers", "workers", _integer(1), COMMANDS, echo=False),
     # the state: exactly one of these three
     Key("pure", "pure", _amplitudes,
         ("discord", "witness-trajectory", "haar-average", "structured-average")),
@@ -277,12 +256,9 @@ KEYS = (
 _KEY = {key.name: key for key in KEYS}
 
 
-def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
-    """Parse and validate a config file; raises ConfigError with all problems.
-
-    ``command`` is the CLI subcommand; a ``command`` key in the file must
-    agree with it when both are present.
-    """
+def parse_config(text: str, command: str) -> ExperimentConfig:
+    """Parse and validate a config file for ``command``, one of
+    ``COMMANDS``; raises ConfigError with all problems."""
     errors: list[str] = []
     entries: dict[str, Any] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -293,7 +269,7 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
         key = key.strip()
         if not sep or not key:
             errors.append(f"line {lineno}: expected 'key = value'")
-        elif key != "command" and key not in _KEY:
+        elif key not in _KEY:
             errors.append(f"{key}: unknown key (line {lineno})")
         elif key in entries:
             errors.append(f"{key}: duplicate key (line {lineno})")
@@ -303,38 +279,25 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
             except ValueError as exc:
                 errors.append(f"{key}: {exc} (line {lineno})")
 
-    file_command = entries.get("command")
-    for name in (file_command, command):
-        if name is not None and name not in COMMANDS:
-            errors.append(f"command: unknown command {name!r}")
-    known = [name for name in (command, file_command) if name in COMMANDS]
-    if len(set(known)) > 1:
-        errors.append(f"command: config says {file_command!r} but {command!r} was requested")
-    if not known:
-        if not any(e.startswith("command:") for e in errors):
-            errors.append("command: missing")
-        raise ConfigError(errors)
-    cmd = known[0]
-
     # a key that fails its check keeps its default, which no check below reads
     values = {key.field: key.default for key in KEYS}
     for key in KEYS:
         if key.name not in entries:
-            if key.required and cmd in key.commands:
-                by = "" if key.commands == COMMANDS else f" by command '{cmd}'"
+            if key.required and command in key.commands:
+                by = "" if key.commands == COMMANDS else f" by command '{command}'"
                 errors.append(f"{key.name}: required{by}")
             continue
-        if cmd not in key.commands:
-            errors.append(f"{key.name}: not used by command '{cmd}'")
+        if command not in key.commands:
+            errors.append(f"{key.name}: not used by command '{command}'")
         try:
             values[key.field] = key.check(entries[key.name])
         except (ValueError, OverflowError) as exc:  # an integer too large for a float overflows
             errors.append(f"{key.name}: {exc}")
 
-    config = ExperimentConfig(command=cmd, **values)
+    config = ExperimentConfig(command=command, **values)
     dim = config.d_s * config.d_e if (config.d_s and config.d_e) else None
     given = sorted({"pure", "probabilities", "random_rank"} & entries.keys())
-    if cmd in _KEY["pure"].commands:
+    if command in _KEY["pure"].commands:
         if not given:
             errors.append("state_spec: give exactly one of pure, probabilities, random_rank")
         elif len(given) > 1:

@@ -44,32 +44,32 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = as_square(a)
     if a.ndim != 2:
         raise ValueError("hermiticity check expects a single matrix, not a stack")
-    return float(np.abs(a - dagger(a)).max(initial=0.0)) <= _tol(tol, float(hs_norm(a)))
+    return float(np.abs(a - dagger(a)).max(initial=0.0)) <= _tol(HERMITICITY_TOL, float(hs_norm(a)))
 
 
-def require_hermitian(a, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     a = as_square(a, name)
-    if not is_hermitian(a, tol):
-        raise ValueError(f"{name} is not Hermitian within tolerance {tol}")
+    if not is_hermitian(a):
+        raise ValueError(f"{name} is not Hermitian within tolerance {HERMITICITY_TOL}")
     return a
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = as_square(u)
     if u.ndim != 2:
         raise ValueError("unitarity check expects a single matrix, not a stack")
     eye = np.eye(u.shape[-1])
-    return float(np.abs(dagger(u) @ u - eye).max(initial=0.0)) <= _tol(tol, 1.0)
+    return float(np.abs(dagger(u) @ u - eye).max(initial=0.0)) <= UNITARITY_TOL
 
 
-def require_unitary(u, name: str = "matrix", tol: float = UNITARITY_TOL) -> np.ndarray:
+def require_unitary(u, name: str = "matrix") -> np.ndarray:
     u = as_square(u, name)
-    if not is_unitary(u, tol):
-        raise ValueError(f"{name} is not unitary within tolerance {tol}")
+    if not is_unitary(u):
+        raise ValueError(f"{name} is not unitary within tolerance {UNITARITY_TOL}")
     return u
 
 
@@ -140,8 +140,8 @@ class HermitianEigensystem:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def _first_significant(col: np.ndarray, tol: float = 1e-9) -> int:
-    idx = np.flatnonzero(np.abs(col) > tol)
+def _first_significant(col: np.ndarray) -> int:
+    idx = np.flatnonzero(np.abs(col) > 1e-9)
     return int(idx[0]) if idx.size else int(np.argmax(np.abs(col)))
 
 
@@ -191,16 +191,11 @@ def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
     vecs[:, cols] = vecs[:, cols] @ rot
 
 
-def eig_hermitian(
-    a: np.ndarray,
-    *,
-    sweep_tol: float = JACOBI_SWEEP_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> HermitianEigensystem:
+def eig_hermitian(a: np.ndarray) -> HermitianEigensystem:
     """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
 
     Sweeps run until the off-diagonal Hilbert-Schmidt norm drops below
-    ``sweep_tol`` (hybrid absolute/relative). Eigenvalues come back
+    ``JACOBI_SWEEP_TOL`` (hybrid absolute/relative). Eigenvalues come back
     ascending with deterministically tie-broken eigenvectors; see
     :class:`HermitianEigensystem`.
 
@@ -216,10 +211,10 @@ def eig_hermitian(
     vecs = np.eye(d, dtype=complex)
     if d == 1:
         return HermitianEigensystem(np.array([work[0, 0].real]), vecs)
-    stop = _tol(sweep_tol, hs_norm(work))
+    stop = _tol(JACOBI_SWEEP_TOL, hs_norm(work))
     skip = stop / (d * d)
     off_mask = ~np.eye(d, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # summed directly over off-diagonal entries; subtracting the
         # diagonal from the total norm cancels catastrophically
         off = math.sqrt(float(np.sum(np.abs(work[off_mask]) ** 2)))
@@ -231,7 +226,7 @@ def eig_hermitian(
                     _jacobi_rotate(work, vecs, p, q)
     else:
         raise ConvergenceError(
-            f"Jacobi sweeps did not converge within {max_sweeps} sweeps"
+            f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
     vals = np.diagonal(work).real.copy()
     order = np.argsort(vals, kind="stable")

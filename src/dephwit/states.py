@@ -39,7 +39,7 @@ class BipartiteState:
             raise ValueError(
                 f"rho must be {self.d_s * self.d_e} x {self.d_s * self.d_e}, got {rho.shape}"
             )
-        if not linalg.is_hermitian(rho, STATE_TOL):
+        if not linalg.is_hermitian(rho):
             raise ValueError("rho is not Hermitian within tolerance")
         if abs(complex(np.trace(rho)) - 1.0) > STATE_TOL:
             raise ValueError("rho does not have unit trace")
@@ -129,9 +129,7 @@ def concurrence_pure(psi, d_s: int, d_e: int) -> float:
     return float(2.0 * np.sqrt(np.sum(np.triu(np.outer(p, p), 1))))
 
 
-def classical_state(
-    p, system_basis=None, env_basis=None, *, tol: float = STATE_TOL
-) -> BipartiteState:
+def classical_state(p, system_basis=None, env_basis=None) -> BipartiteState:
     """Classically correlated state sum_ij p_ij |a_i><a_i| x |b_j><b_j|.
 
     ``p`` is a d_s by d_e table of probabilities; the bases are matrices
@@ -142,9 +140,9 @@ def classical_state(
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise ValueError("probability table must be 2-dimensional")
-    if np.any(p < -tol):
+    if np.any(p < -STATE_TOL):
         raise ValueError("probability table has negative entries")
-    if abs(float(p.sum()) - 1.0) > tol:
+    if abs(float(p.sum()) - 1.0) > STATE_TOL:
         raise ValueError(f"probability table sums to {p.sum()}, expected 1")
     d_s, d_e = p.shape
     a = np.eye(d_s, dtype=complex) if system_basis is None else as_square(system_basis)

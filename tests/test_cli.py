@@ -61,15 +61,14 @@ def _run(tmp_path, name, text, *extra, command="structured-average"):
 def test_structured_average_output_is_identical_for_any_worker_count(tmp_path, monkeypatch, kind):
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     text = CONFIGS[kind]
-    outputs = []
-    for workers in (1, 2):
-        code, out = _run(tmp_path, f"w{workers}", text + f"workers = {workers}\n")
+    code, out = _run(tmp_path, "unset", text)
+    assert code == 0
+    outputs = [out.read_bytes()]
+    for workers in ("1", "2"):
+        monkeypatch.setenv(cli.WORKERS_ENV, workers)
+        code, out = _run(tmp_path, f"w{workers}", text)
         assert code == 0
         outputs.append(out.read_bytes())
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    code, out = _run(tmp_path, "env", text)
-    assert code == 0
-    outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
     rows = json.loads(outputs[0])["results"]
@@ -102,27 +101,11 @@ def test_structured_average_rows_come_from_one_grid_call(tmp_path):
     assert [(row["mean_sq"], row["std_error"]) for row in rows] == [(e.mean, e.std_error) for e in grid]
 
 
-@pytest.mark.parametrize(
-    "seed, message",
-    [
-        ("-1", "config error: seed: must be at least 0, got -1"),
-        (
-            "18446744073709551616",
-            "config error: seed: must be at most 18446744073709551615, got 18446744073709551616",
-        ),
-    ],
-)
-def test_seed_override_out_of_range_is_a_config_error(tmp_path, capsys, seed, message):
-    code, out = _run(tmp_path, "gue", GUE_CONFIG, "--seed", seed)
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == [message]
-    assert not out.exists()
-
-
-def test_seed_override_in_range_replaces_the_file_seed(tmp_path):
-    code, out = _run(tmp_path, "gue", GUE_CONFIG, "--seed", str(2**64 - 1))
-    assert code == 0
-    assert json.loads(out.read_text())["seed"] == 2**64 - 1
+def test_the_seed_comes_from_the_file_only(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        _run(tmp_path, "gue", GUE_CONFIG, "--seed", "5")
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "gue.json").exists()
 
 
 CHECK_CONFIG = """\
@@ -177,19 +160,15 @@ def test_twirl_checks_are_identical_for_any_worker_count_and_match_a_direct_call
     monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
     outputs = {}
     for fmt in ("json", "csv"):
-        runs = []
-        for workers in (1, 2):
-            code, out = _run(
-                tmp_path, f"{fmt}{workers}", CHECK_CONFIG + f"workers = {workers}\n",
-                "--format", fmt, command=command,
-            )
+        code, out = _run(tmp_path, f"{fmt}unset", CHECK_CONFIG, "--format", fmt, command=command)
+        assert code == 0
+        runs = [out.read_bytes()]
+        for workers in ("1", "2"):
+            monkeypatch.setenv(cli.WORKERS_ENV, workers)
+            code, out = _run(tmp_path, f"{fmt}{workers}", CHECK_CONFIG, "--format", fmt, command=command)
+            monkeypatch.delenv(cli.WORKERS_ENV)
             assert code == 0
             runs.append(out.read_bytes())
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        code, out = _run(tmp_path, f"{fmt}env", CHECK_CONFIG, "--format", fmt, command=command)
-        monkeypatch.delenv(cli.WORKERS_ENV)
-        assert code == 0
-        runs.append(out.read_bytes())
         assert runs[0] == runs[1] == runs[2]
         outputs[fmt] = runs[0].decode()
 
@@ -307,7 +286,7 @@ GOLDEN = {
     ),
     "trajectory-explicit": (
         "witness-trajectory",
-        "command = witness-trajectory\nd_S = 2\nd_E = 2\nseed = 23\n"
+        "d_S = 2\nd_E = 2\nseed = 23\n"
         "pure = [0.6, 0, 0.48i, 0.64]\nensemble = explicit\nlevels = [0, 1, 2.5, 4]\n"
         "time_start = 0\ntime_stop = 3\ntime_steps = 4\n",
         {
@@ -379,21 +358,13 @@ def test_golden_runs_are_identical_for_any_worker_count_and_match_direct_calls(
     outputs = {}
     for fmt in ("json", "csv"):
         runs = []
-        code, out = _run(tmp_path, f"{fmt}1", text + "workers = 1\n", "--format", fmt, command=command)
-        assert code == 0
-        runs.append(out.read_bytes())
-        # the output and format keys of the file in place of the flags
-        out = tmp_path / f"{fmt}2.out"
-        cfg = tmp_path / f"{fmt}2.cfg"
-        cfg.write_text(text + f"workers = 2\noutput = {out}\nformat = {fmt}\n")
-        assert cli.main([command, "--config", str(cfg)]) == 0
-        runs.append(out.read_bytes())
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        code, out = _run(tmp_path, f"{fmt}env", text, "--format", fmt, command=command)
-        monkeypatch.delenv(cli.WORKERS_ENV)
-        assert code == 0
-        runs.append(out.read_bytes())
-        assert runs[0] == runs[1] == runs[2]
+        for workers in ("1", "2"):
+            monkeypatch.setenv(cli.WORKERS_ENV, workers)
+            code, out = _run(tmp_path, f"{fmt}{workers}", text, "--format", fmt, command=command)
+            monkeypatch.delenv(cli.WORKERS_ENV)
+            assert code == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
         outputs[fmt] = runs[0].decode()
 
     expected = direct()
@@ -456,15 +427,15 @@ CONFIG_ERRORS = [
     ("theorem-check", CHECK + " = 3\n", "line 5: expected 'key = value'"),
     ("theorem-check", CHECK + "colour = red\n", "colour: unknown key (line 5)"),
     ("theorem-check", CHECK + "seed = 2\n", "seed: duplicate key (line 5)"),
-    ("theorem-check", CHECK + "workers = [4\n", "workers: unterminated array (line 5)"),
-    ("theorem-check", CHECK + "workers = 4]\n", "workers: unbalanced brackets (line 5)"),
-    ("theorem-check", CHECK + "workers = [[4]\n", "workers: unbalanced brackets (line 5)"),
-    ("theorem-check", CHECK + "workers =\n", "workers: empty value (line 5)"),
-    ("theorem-check", CHECK + "command = dance\n", "command: unknown command 'dance'"),
-    (
-        "theorem-check", CHECK + "command = discord\n",
-        "command: config says 'discord' but 'theorem-check' was requested",
-    ),
+    ("witness-trajectory", TRAJECTORY + "mean_spacing = [4\n", "mean_spacing: unterminated array (line 9)"),
+    ("witness-trajectory", TRAJECTORY + "mean_spacing = 4]\n", "mean_spacing: unbalanced brackets (line 9)"),
+    ("witness-trajectory", TRAJECTORY + "mean_spacing = [[4]\n", "mean_spacing: unbalanced brackets (line 9)"),
+    ("witness-trajectory", TRAJECTORY + "mean_spacing =\n", "mean_spacing: empty value (line 9)"),
+    # the command comes from the subcommand, the output, format and worker count from the command line
+    ("theorem-check", CHECK + "command = theorem-check\n", "command: unknown key (line 5)"),
+    ("theorem-check", CHECK + "output = out.json\n", "output: unknown key (line 5)"),
+    ("lemma-check", CHECK + "format = csv\n", "format: unknown key (line 5)"),
+    ("lemma-check", CHECK + "workers = 2\n", "workers: unknown key (line 5)"),
     ("theorem-check", CHECK + "pure = [1, 0, 0, 0]\n", "pure: not used by command 'theorem-check'"),
     ("discord", STATE + "ensemble = gue\n", "ensemble: not used by command 'discord'"),
     ("haar-average", STATE + "n_samples = 4\nspectrum_mode = quenched\n",
@@ -482,8 +453,6 @@ CONFIG_ERRORS = [
     ("theorem-check", "d_S = 2\nd_E = 2\nn_samples = 4\n", "seed: required"),
     ("theorem-check", DIMS, "n_samples: required by command 'theorem-check'"),
     ("choi-check", DIMS + "n_samples = 1\n", "n_samples: must be at least 2, got 1"),
-    ("lemma-check", CHECK + "workers = 0\n", "workers: must be at least 1, got 0"),
-    ("lemma-check", CHECK + "format = xml\n", "format: must be one of csv, json, got 'xml'"),
     (
         "structured-average", TRAJECTORY + "n_samples = 4\nspectrum_mode = frozen\n",
         "spectrum_mode: must be one of annealed, quenched, got 'frozen'",
@@ -592,13 +561,22 @@ def test_an_unreadable_config_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_a_missing_output_exits_2(tmp_path, capsys):
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(CHECK.encode() + b"# caf\xe9\n")
+    out = tmp_path / "out.json"
+    assert cli.main(["theorem-check", "--config", str(cfg), "--output", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: cannot read {cfg}: 'utf-8' codec can't decode byte 0xe9")
+    assert not out.exists()
+
+
+def test_a_missing_output_exits_2(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CHECK)
-    assert cli.main(["theorem-check", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "config error: output: required (set the key or pass --output)"
-    ]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["theorem-check", "--config", str(cfg)])
+    assert exit_info.value.code == 2
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -645,3 +623,16 @@ def test_an_unwritable_output_is_a_one_line_run_error(tmp_path, capsys):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: cannot write {out}: ")
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_results_are_a_run_error_in_either_format(tmp_path, capsys, fmt):
+    # exp(-i t E) overflows at t = 1e308, so the t > 0 rows come out NaN
+    text = TRAJECTORY.replace("time_stop = 1", "time_stop = 1e308") + "n_samples = 4\n"
+    with pytest.warns(RuntimeWarning):
+        code, out = _run(tmp_path, "big", text, "--format", fmt)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: results are not finite: mean_sq, rms_std_error, std_error"
+    ]
+    assert not out.exists()
