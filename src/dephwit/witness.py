@@ -63,12 +63,13 @@ class McEstimate:
         The estimators target squared norms, for which the closed forms
         are exact; the root is the reported observable. Error propagation
         std_error / (2 rms) degenerates at rms = 0, where the root of the
-        error is returned as a conservative scale.
+        error is returned as a conservative scale. A NaN mean gives a NaN
+        root.
         """
         root = math.sqrt(max(self.mean, 0.0))
-        if root > 0.0:
-            return root, self.std_error / (2.0 * root)
-        return 0.0, math.sqrt(max(self.std_error, 0.0))
+        if root == 0.0:
+            return 0.0, math.sqrt(max(self.std_error, 0.0))
+        return root, self.std_error / (2.0 * root)
 
     def z_score(self, reference: float) -> float:
         """Deviation of the mean from ``reference`` in standard errors.
@@ -130,8 +131,15 @@ def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
         return [worker_fn(k) for k in range(n_chunks)]
     from concurrent.futures import ThreadPoolExecutor  # a serial run skips the import
 
+    # pool threads start from numpy's default error state, not the caller's
+    errors = np.geterr()
+
+    def task(k: int):
+        with np.errstate(**errors):
+            return worker_fn(k)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker_fn, range(n_chunks)))
+        return list(pool.map(task, range(n_chunks)))
 
 
 def _two_pass(samples: np.ndarray):

@@ -68,6 +68,26 @@ def discord_oracle(rho: np.ndarray, d_s: int, d_e: int) -> tuple[float, np.ndarr
     return float(np.sqrt(np.trace(diff.conj().T @ diff).real)), deph
 
 
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def geometric_discord_qubit_np(rho: np.ndarray, d_e: int) -> float:
+    """Geometric discord of a 2 x d_e state: the least ||rho - Phi_V(rho)||^2
+    over all system bases V, eigenbases of rho_S or not.
+
+    Closed form of Dakic, Vedral & Brukner (PRL 105, 190502, 2010), which
+    needs no eigenbasis of the marginal: D_G = ||rho||^2 - ||rho_E||^2 / 2
+    - lambda_max(G) / 2, with G_ij = Re Tr(R_i R_j), R_i = Tr_S[(sigma_i x 1) rho].
+    """
+    r = rho.reshape(2, d_e, 2, d_e)
+    rho_e = np.einsum("kikj->ij", r)
+    big_r = np.einsum("plk,kalb->pab", PAULIS, r)
+    g = np.einsum("iab,jba->ij", big_r, big_r).real
+    return float(
+        np.sum(np.abs(rho) ** 2) - 0.5 * np.sum(np.abs(rho_e) ** 2) - 0.5 * np.linalg.eigvalsh(g)[-1]
+    )
+
+
 def hs_norm_np(a: np.ndarray) -> float:
     return float(np.sqrt(np.trace(a.conj().T @ a).real))
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from dephwit.dephasing import (
 from dephwit.linalg import hs_norm
 from dephwit.randmat import RngHandle, haar_unitary
 from dephwit.states import BipartiteState, classical_state, from_pure, purity, random_mixed
-from helpers import discord_oracle, np_rng, random_density_np
+from helpers import discord_oracle, geometric_discord_qubit_np, np_rng, random_density_np
 
 SQRT8 = np.array([np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)], dtype=complex)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -168,6 +170,21 @@ def test_discord_matches_oracle_on_random_states(seed, dims):
     # the Jacobi solver stops at an off-diagonal norm of 1e-12, which puts
     # up to 2.5e-12 into the dephased state (20,000 random 3 x 3 states)
     np.testing.assert_allclose(dephase_total(s).rho, deph, rtol=0, atol=1e-11)
+
+
+def test_discord_against_qubit_geometric_discord():
+    # D_G is the minimum of ||rho - Phi_V(rho)||^2 over every system basis V,
+    # so delta^2 (the marginal's eigenbasis) lies on or above it; on pure
+    # states the Schmidt basis attains the minimum
+    rng = RngHandle(76)
+    for i, (d_e, rank, _) in enumerate(itertools.product((2, 3, 4), (1, 2, 3, 4), range(3))):
+        s = random_mixed(2, d_e, rank, rng.derive(i))
+        d_g = geometric_discord_qubit_np(s.rho, d_e)
+        delta_sq = discord_delta(s) ** 2
+        if rank == 1:
+            assert delta_sq == pytest.approx(d_g, abs=1e-12)
+        else:
+            assert delta_sq >= d_g
 
 
 def test_purity_identity_on_random_states():

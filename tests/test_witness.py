@@ -710,6 +710,8 @@ def test_mc_estimate_rms_propagation():
     assert rms_err == pytest.approx(0.01 / (2 * 0.5))
     zero = McEstimate(mean=0.0, std_error=0.0, n_samples=10)
     assert zero.rms() == (0.0, 0.0)
+    nan_rms, nan_err = McEstimate(mean=math.nan, std_error=1.0, n_samples=10).rms()
+    assert math.isnan(nan_rms) and math.isnan(nan_err)
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, std_error=0.0, n_samples=1)
 
