@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import as_square, dagger, eig_hermitian, hs_norm_sq, partial_trace_env
-from .randmat import RngHandle, haar_unitary
+from .randmat import RngHandle, ginibre, haar_unitary
 
 STATE_TOL = 1e-10
 
@@ -161,8 +161,8 @@ def classical_state(p, system_basis=None, env_basis=None) -> BipartiteState:
 
 
 def random_pure(d_s: int, d_e: int, rng: RngHandle) -> np.ndarray:
-    """Haar-distributed unit vector (first column of a Haar unitary)."""
-    return haar_unitary(d_s * d_e, rng)[:, 0]
+    """Haar-distributed unit vector (a d x 1 Haar isometry, from 2d normals)."""
+    return haar_unitary(d_s * d_e, rng, columns=1)[:, 0]
 
 
 def random_mixed(d_s: int, d_e: int, rank: int, rng: RngHandle) -> BipartiteState:
@@ -174,7 +174,7 @@ def random_mixed(d_s: int, d_e: int, rank: int, rng: RngHandle) -> BipartiteStat
     d = d_s * d_e
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
-    g = rng.normals((d, rank)) + 1j * rng.normals((d, rank))
+    g = ginibre(d, rng, columns=rank)
     rho = g @ dagger(g)
     rho /= np.trace(rho).real
     rho = 0.5 * (rho + dagger(rho))

@@ -16,6 +16,16 @@ vectors of length d^2, so its chunk moments come from centered factors
 through matrix products over the chunk axis, in O(n d^2) memory, instead
 of a second pass over n dense (d^2, d^2) samples.
 
+Haar averages of ||Tr_env(U M U^dagger)||^2 use only the eigenvalues of M.
+Haar measure is right-invariant, so with M = W diag(lam) W^dagger the
+product U W is again Haar, and U M U^dagger = V diag(lam) V^dagger where V
+holds the columns of a Haar unitary on the range of M: a d x k Haar
+isometry, k = rank M, drawn from a d x k Ginibre block. The rank is that of
+``np.linalg.matrix_rank``: eigenvalues with |lam| <= d eps max|lam| are
+rounding noise of M and are dropped. A pure state's M has rank 2, so each
+sample costs d_s^2 d_e k operations and 2 d k normals instead of two
+d x d products and 2 d^2 normals; a zero M draws nothing.
+
 Structured averages take the mean over the Haar eigenvectors exactly
 (:mod:`dephwit.weingarten`): fixed spectra give exact rows, and annealed
 rows are a Monte Carlo over shared spectra, correlated by design.
@@ -197,11 +207,17 @@ def _mc_moments(sample_fn, n_samples: int, rng: RngHandle, workers: int):
     return _mc_chunks(lambda handle, count: _two_pass(sample_fn(handle, count)), n_samples, rng, workers)
 
 
-def _batch_norm_sq_reduced(u: np.ndarray, m: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
-    """Per-sample squared HS norm of the reduced conjugated operator."""
-    x = (u @ m) @ dagger(u)
-    delta = partial_trace_env(x, d_s, d_e)
-    return np.einsum("nij,nij->n", delta.conj(), delta).real
+def _batch_norm_sq_reduced(v: np.ndarray, lam: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
+    """Per-sample squared HS norm of Tr_env(V diag(lam) V^dagger).
+
+    ``v`` is a stack of d x k isometries, row index s d_e + e. Reshaped to
+    (d_s, d_e k), column e k + j carries lam_j, so one product per sample
+    forms the reduced operator at cost d_s^2 d_e k.
+    """
+    n, k = v.shape[0], lam.size
+    w = v.reshape(n, d_s, d_e * k)
+    red = (w * np.tile(lam, d_e)) @ dagger(w)
+    return np.einsum("nij,nij->n", red.conj(), red).real
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +276,15 @@ def theorem_rhs(m, d_s: int, d_e: int) -> float:
 
 def _haar_mean_sq(m: np.ndarray, d_s: int, d_e: int, n_samples: int, rng: RngHandle, workers: int) -> McEstimate:
     d = d_s * d_e
+    lam = np.linalg.eigvalsh(m)
+    # the rank rule of np.linalg.matrix_rank: smaller eigenvalues are rounding noise of M
+    lam = lam[np.abs(lam) > d * np.finfo(float).eps * np.abs(lam).max()]
 
     def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
-        u = haar_unitary(d, handle, size=count)
-        return _batch_norm_sq_reduced(u, m, d_s, d_e)
+        if lam.size == 0:
+            return np.zeros(count)
+        v = haar_unitary(d, handle, size=count, columns=lam.size)
+        return _batch_norm_sq_reduced(v, lam, d_s, d_e)
 
     mean, std_error = _mc_moments(sample_fn, n_samples, rng, workers)
     return McEstimate(float(mean), float(std_error), n_samples)
@@ -279,7 +300,10 @@ def haar_average_distance_sq(
     """Monte Carlo Haar average of the squared witness distance.
 
     Converges to the dimensional prefactor times the squared discord of
-    ``rho``; take ``.rms()`` for the root-mean-square witness.
+    ``rho``; take ``.rms()`` for the root-mean-square witness. By the
+    right invariance of Haar measure each sample conjugates only the
+    nonzero eigenvalues of M = rho - rho_deph by a Haar isometry on its
+    range (rank 2 for a pure state); no eigenvector of M is needed.
     """
     m = _check_state_pair(rho, rho_deph)
     return _haar_mean_sq(m, rho.d_s, rho.d_e, n_samples, rng, workers)
@@ -289,7 +313,14 @@ def theorem_mc_check(
     m, d_s: int, d_e: int, n_samples: int, rng: RngHandle, workers: int = 1
 ) -> tuple[McEstimate, float]:
     """Monte Carlo estimate of the Haar-averaged squared reduced norm,
-    paired with its closed-form value."""
+    paired with its closed-form value.
+
+    Samples depend on M through its eigenvalues alone: those above the
+    rank threshold d eps max|lam| are conjugated by a d x rank Haar
+    isometry, which by right invariance has the law of U W, W the
+    eigenvectors of those eigenvalues. A full-rank M draws full d x d
+    Haar unitaries.
+    """
     m = require_hermitian(m, "m")
     rhs = theorem_rhs(m, d_s, d_e)  # rejects bad dimensions before any sampling
     return _haar_mean_sq(m, d_s, d_e, n_samples, rng, workers), rhs

@@ -83,6 +83,17 @@ def test_ginibre_reproducible():
 def test_ginibre_rejects_bad_dimension():
     with pytest.raises(ValueError):
         ginibre(0, RngHandle(1))
+    for columns in (-1, 0, 4):
+        with pytest.raises(ValueError, match="columns"):
+            ginibre(3, RngHandle(1), columns=columns)
+        with pytest.raises(ValueError, match="columns"):
+            haar_unitary(3, RngHandle(1), size=2, columns=columns)
+
+
+def test_full_columns_draw_what_the_default_draws():
+    for fn in (ginibre, haar_unitary):
+        assert np.array_equal(fn(4, RngHandle(8)), fn(4, RngHandle(8), columns=4))
+        assert np.array_equal(fn(4, RngHandle(8), size=3), fn(4, RngHandle(8), size=3, columns=4))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +119,17 @@ def test_haar_first_moments():
     mean_entry = u.mean(axis=0)
     entry_sigma = math.sqrt(1.0 / d / n)  # per complex component about 1/sqrt(d n)
     assert np.abs(mean_entry).max() <= 4.0 * entry_sigma
+
+
+def test_haar_isometry_columns_and_first_moments():
+    n, d, k = 20_000, 5, 2
+    v = haar_unitary(d, RngHandle(45), size=n, columns=k)
+    assert v.shape == (n, d, k)
+    assert np.abs(dagger(v) @ v - np.eye(k)).max() <= 1e-12
+    # each column is a Haar unit vector: |V_ij|^2 has mean 1/d, as for a unitary
+    mean_sq = (np.abs(v) ** 2).mean(axis=0)
+    sigma = math.sqrt((d - 1) / (d**2 * (d + 1)) / n)
+    assert np.abs(mean_sq - 1.0 / d).max() <= 4.0 * sigma
 
 
 def test_haar_left_invariance():

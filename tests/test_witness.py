@@ -229,6 +229,61 @@ def test_theorem_mc_zero_operator():
     assert est.mean == 0.0 and rhs == 0.0
 
 
+def _hermitian_with_spectrum(rng, d, eigenvalues):
+    # the given nonzero eigenvalues on random orthonormal vectors, zero elsewhere
+    w = haar_np(rng, d)[:, : len(eigenvalues)]
+    return (w * np.asarray(eigenvalues)) @ w.conj().T
+
+
+SPECTRA = {"rank_one": [1.3], "indefinite_rank_two": [0.7, -0.7], "traced_rank_three": [1.0, -0.4, 0.25]}
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 3), (3, 2), (1, 4)])
+@pytest.mark.parametrize("kind", ["full_rank", "rank_one", "indefinite_rank_two"])
+def test_isometry_kernel_matches_conjugation_oracle(d_s, d_e, kind):
+    # V = U W on the kept eigenvectors W of M gives Tr_env(U M U^dagger) exactly
+    d = d_s * d_e
+    rng = np_rng(126)
+    m = random_hermitian_np(rng, d) if kind == "full_rank" else _hermitian_with_spectrum(rng, d, SPECTRA[kind])
+    lam, w = np.linalg.eigh(m)
+    keep = np.abs(lam) > d * np.finfo(float).eps * np.abs(lam).max()
+    assert keep.sum() == (d if kind == "full_rank" else len(SPECTRA[kind]))
+    us = haar_batch_np(rng, d, 3)
+    got = witness._batch_norm_sq_reduced((us @ w)[:, :, keep], lam[keep], d_s, d_e)
+    expected = [hs_norm_np(ptrace_env_loops(u @ m @ u.conj().T, d_s, d_e)) ** 2 for u in us]
+    assert np.abs(got - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 3), (3, 2), (2, 8)])
+@pytest.mark.parametrize("kind", sorted(SPECTRA))
+def test_theorem_mc_rank_deficient_operators(d_s, d_e, kind):
+    m = _hermitian_with_spectrum(np_rng(127), d_s * d_e, SPECTRA[kind])
+    est, rhs = theorem_mc_check(m, d_s, d_e, 10_000, RngHandle(128))
+    assert abs(est.z_score(rhs)) <= 4.0
+
+
+def test_haar_samples_draw_normals_for_the_rank_of_m(monkeypatch):
+    drawn = []
+    normals = RngHandle.normals
+
+    def counting_normals(self, shape):
+        drawn.append(math.prod(shape))
+        return normals(self, shape)
+
+    monkeypatch.setattr(RngHandle, "normals", counting_normals)
+    n, d_s, d_e = 1100, 2, 8
+    d = d_s * d_e
+    g = np_rng(129).normal(size=d) + 1j * np_rng(130).normal(size=d)
+    state, deph = _pair(g / np.linalg.norm(g), d_s, d_e)
+    haar_average_distance_sq(state, deph, n, RngHandle(131))
+    assert sum(drawn) == 2 * n * d * 2  # a pure state's M has rank 2
+    drawn.clear()
+    est, _ = theorem_mc_check(np.zeros((d, d)), d_s, d_e, n, RngHandle(132))
+    assert sum(drawn) == 0 and est.mean == 0.0 and est.std_error == 0.0
+    theorem_mc_check(random_hermitian_np(np_rng(133), d), d_s, d_e, n, RngHandle(134))
+    assert sum(drawn) == 2 * n * d * d
+
+
 # ---------------------------------------------------------------------------
 # structured evolutions
 
