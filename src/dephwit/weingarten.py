@@ -22,7 +22,11 @@ a' = (i,k'), b' = (i',k'). So the rows of W are (a, e, c', b') and those
 of conj(W) are (c, b, a', e'): r depends on M alone. The columns carry
 L_p, conj(L_q), conj(L_p'), L_q', so c(tau) is a product over the cycles
 of tau of power sums sum_p exp(-ikE_p t), k in -2..2: a polynomial in
-d f(t) and d f(2t), with f from :func:`level_transform_f`.
+d f(t) and d f(2t), with f the normalized transform of
+:func:`dephwit.randmat.level_transform_f`. The 24 columns take only 8
+distinct monomials, so the weights (Wg r)(tau) are first summed into 8
+grouped weights kappa, and each spectrum and time costs one row of a phase
+table exp(-iEt): f(t) is its mean and f(2t) the mean of its square.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-
-from .randmat import level_transform_f
 
 
 def _cycles(perm) -> list[list[int]]:
@@ -208,16 +210,38 @@ def _column_monomials():
 _MONOMIALS, _MONOMIAL_OF_TAU = _column_monomials()
 
 
-def witness_columns(levels, t: float) -> np.ndarray:
-    """c(tau) of the degree-4 witness for levels of shape (d,) or (n, d).
+def monomial_weights(weights) -> np.ndarray:
+    """kappa, shape (8,): the 24 weights (Wg r)(tau) summed over the tau that
+    share a column monomial. The grouping needs no property of M, so
+    kappa . monomials = (Wg r) . c exactly for any operator."""
+    kappa = np.zeros(len(_MONOMIALS), dtype=complex)
+    np.add.at(kappa, _MONOMIAL_OF_TAU, np.asarray(weights, dtype=complex))
+    return kappa
 
-    Returns shape (24,) or (n, 24), in the order of :func:`weingarten_matrix`.
+
+def witness_means(kappa, levels, times) -> np.ndarray:
+    """The exact mean over W of the witness, sum_tau (Wg r)(tau) c(tau), for
+    each spectrum and time, from the grouped weights of :func:`monomial_weights`.
+
+    ``levels`` has shape (d,) or (n, d) and ``times`` is 1-d; the result has
+    shape (times,) or (n, times). One phase table exp(-iEt) over all spectra
+    and times gives both power sums: P_1 = d f(t) sums it and P_2 = d f(2t)
+    sums its square, with no second exp.
     """
     levels = np.asarray(levels, dtype=float)
+    times = np.asarray(times, dtype=float)
     d = levels.shape[-1]
-    p1 = d * np.asarray(level_transform_f(levels, t))
-    p2 = d * np.asarray(level_transform_f(levels, 2.0 * t))
-    sums = np.stack([np.full_like(p1, d), p1, p2, p2.conj(), p1.conj()], axis=-1)
-    powers = np.stack([np.ones_like(sums), sums, sums * sums], axis=-1)
-    monomials = np.prod(powers[..., np.arange(5), _MONOMIALS], axis=-1)
-    return monomials[..., _MONOMIAL_OF_TAU]
+    phases = np.exp(-1j * times[:, None] * levels[..., None, :])
+    p1 = phases.sum(axis=-1)
+    phases *= phases
+    p2 = phases.sum(axis=-1)
+    # P_k for k = 0, 1, 2, -2, -1, the columns of _MONOMIALS
+    sums = (d, p1, p2, p2.conj(), p1.conj())
+    total = 0.0
+    for weight, exponents in zip(kappa, _MONOMIALS):
+        term = weight
+        for p_k, e in zip(sums, exponents):
+            if e:
+                term = term * p_k**e
+        total = total + term
+    return total.real

@@ -50,7 +50,7 @@ from .linalg import (
 )
 from .randmat import RngHandle, SpectrumEnsemble, StructuredEvolution, haar_unitary, sample_spectrum
 from .states import BipartiteState
-from .weingarten import weingarten_matrix, witness_columns, witness_rows
+from .weingarten import monomial_weights, weingarten_matrix, witness_means, witness_rows
 
 MC_CHUNK = 512
 
@@ -342,13 +342,16 @@ def structured_average_grid(
     r(M) Wg c(D, t) of :mod:`dephwit.weingarten`, M = rho - rho_deph. For a
     dephasing pair r(M) / delta^2 is one fixed vector: the average is exactly
     delta^2 K(d_s, d_e, D, t), the ensemble analogue of the Haar
-    proportionality. A fixed D (quenched, frozen once from rng.derive(1), or
-    ``explicit``) gives exact rows ``McEstimate(value, 0.0, n_samples)`` that
-    draw nothing; ``n_samples`` only labels them. Annealed rows are a Monte
-    Carlo over spectra alone (chunk k from rng.derive(0, k)), each sample the
-    exact mean over W; all times share the spectra, so those rows are
-    correlated and must not be combined as independent estimates. Rows with
-    t = 0 are exactly zero.
+    proportionality. The 24 weights (Wg r)(tau) are summed once into the 8
+    grouped weights kappa of the distinct column monomials, and a stack of
+    spectra costs one phase table exp(-iDt) over all moving times
+    (:func:`dephwit.weingarten.witness_means`). A fixed D (quenched, frozen
+    once from rng.derive(1), or ``explicit``) gives exact rows
+    ``McEstimate(value, 0.0, n_samples)`` that draw nothing; ``n_samples``
+    only labels them. Annealed rows are a Monte Carlo over spectra alone
+    (chunk k from rng.derive(0, k)), each sample the exact mean over W; all
+    times share the spectra, so those rows are correlated and must not be
+    combined as independent estimates. Rows with t = 0 are exactly zero.
     """
     m = _check_state_pair(rho, rho_deph)
     d = rho.dim
@@ -361,11 +364,11 @@ def structured_average_grid(
     moving = np.flatnonzero(times)
     if moving.size == 0:
         return estimates
-    weights = weingarten_matrix(4, d) @ witness_rows(m, rho.d_s, rho.d_e)
+    kappa = monomial_weights(weingarten_matrix(4, d) @ witness_rows(m, rho.d_s, rho.d_e))
 
     def mean_sq(levels: np.ndarray) -> np.ndarray:
         # the exact mean over W for each spectrum, one column per moving time
-        return np.stack([(witness_columns(levels, t) @ weights).real for t in times[moving]], axis=-1)
+        return witness_means(kappa, levels, times[moving])
 
     if ensemble.kind == "explicit" or not redraw_spectrum:
         mean = mean_sq(sample_spectrum(ensemble, rng.derive(1)))

@@ -5,6 +5,8 @@ deliberately avoiding the library's own decompositions and samplers so
 the two routes stay independent.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -133,3 +135,29 @@ def structured_samples_np(m, d_s, d_e, levels, times, rng, chunk=1024):
             red = np.einsum("nikjk->nij", x.reshape(-1, d_s, d_e, d_s, d_e))
             out[start : start + chunk, j] = np.sum(np.abs(red) ** 2, axis=(-2, -1))
     return out
+
+
+def witness_columns_np(levels, t: float) -> np.ndarray:
+    """c(tau) of the degree-4 structured witness for one spectrum and time,
+    over S_4 in the order of ``itertools.permutations``.
+
+    Each cycle of tau contributes the power sum sum_p exp(-i k E_p t), k the
+    sum over the cycle of the slot signs (+1, -1, -1, +1) of L_p, conj(L_q),
+    conj(L_p'), L_q'; one exp per cycle and no table of monomials.
+    """
+    levels = np.asarray(levels, dtype=float)
+    signs = (1, -1, -1, 1)
+    out = []
+    for tau in itertools.permutations(range(4)):
+        seen, value = set(), 1.0 + 0.0j
+        for start in range(4):
+            if start in seen:
+                continue
+            k, j = 0, start
+            while j not in seen:
+                seen.add(j)
+                k += signs[j]
+                j = tau[j]
+            value *= np.exp(-1j * k * t * levels).sum()
+        out.append(value)
+    return np.array(out)

@@ -44,7 +44,7 @@ from dephwit.witness import (
     witness_distance,
     witness_trajectory,
 )
-from dephwit.weingarten import weingarten_matrix, witness_columns, witness_rows
+from dephwit.weingarten import monomial_weights, weingarten_matrix, witness_means, witness_rows
 from helpers import (
     gue_levels_np,
     haar_batch_np,
@@ -54,6 +54,7 @@ from helpers import (
     ptrace_env_loops,
     random_hermitian_np,
     structured_samples_np,
+    witness_columns_np,
 )
 
 SQRT8 = np.array([np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)], dtype=complex)
@@ -488,8 +489,25 @@ def test_singular_gram_structured_witness_is_exact(d_s, d_e):
     expected = hs_norm_np(m) ** 2 if d_e == 1 else abs(np.trace(m)) ** 2
     weights = weingarten_matrix(4, d) @ witness_rows(m, d_s, d_e)
     levels = np_rng(940 + d).normal(size=d)
-    for t in (0.4, 1.5, 7.0):
-        assert _rel((witness_columns(levels, t) @ weights).real, expected) <= 1e-12
+    times = [0.4, 1.5, 7.0]
+    for t, mean in zip(times, witness_means(monomial_weights(weights), levels, times)):
+        assert _rel(mean, (witness_columns_np(levels, t) @ weights).real) <= 1e-12
+        assert _rel(mean, expected) <= 1e-12
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2)])
+def test_grouped_witness_means_match_the_column_oracle(d_s, d_e):
+    # kappa groups the 24 weights of any operator, not only of a dephasing pair
+    d = d_s * d_e
+    m = random_hermitian_np(np_rng(945 + d), d)
+    weights = weingarten_matrix(4, d) @ witness_rows(m, d_s, d_e)
+    levels = np_rng(946 + d).normal(size=(3, d))
+    times = [0.4, 1.5, 7.0]
+    means = witness_means(monomial_weights(weights), levels, times)
+    assert means.shape == (3, 3)
+    for row, spectrum in zip(means, levels):
+        for mean, t in zip(row, times):
+            assert _rel(mean, (witness_columns_np(spectrum, t) @ weights).real) <= 1e-12
 
 
 @pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2)])
