@@ -10,7 +10,7 @@ twirling channel, and a reproducible seeded CLI.
 
 from __future__ import annotations
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .linalg import (
     HermitianEigensystem,

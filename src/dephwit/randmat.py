@@ -4,13 +4,17 @@ Ginibre matrices, Haar-distributed unitaries via phase-corrected QR
 (or their first k columns, a Haar isometry, from a d x k Ginibre block),
 eigenvalue spectra with Poisson or GUE level statistics, structured
 time evolutions W exp(-iDt) W^dagger, and the normalized Fourier
-transform of the level density.
+transform of the level density. GUE spectra come from the beta = 2
+Hermite tridiagonal model of Dumitriu & Edelman (J. Math. Phys. 43, 5830,
+2002): the eigenvalues of a real symmetric tridiagonal matrix built from
+d normals and d - 1 gamma variates have the law of those of a dense GUE
+matrix built from 2 d^2 normals.
 
 All randomness flows through :class:`RngHandle`, a seeded counter-based
 Philox stream with hierarchical derivation. Uniforms come from numpy's
-``Generator.random`` and normals from its ``standard_normal`` (a ziggurat)
-on that stream, so a handle's output is pinned entirely by (seed, spawn key)
-and the numpy version.
+``Generator.random``, normals from its ``standard_normal`` (a ziggurat) and
+gamma variates from its ``standard_gamma`` on that stream, so a handle's
+output is pinned entirely by (seed, spawn key) and the numpy version.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ class RngHandle:
     """Deterministic PRNG stream identified by a 64-bit seed and a spawn key.
 
     numpy's ``Generator`` on ``Philox(SeedSequence(seed, spawn_key))``: equal
-    (seed, spawn_key) pairs give equal ``random`` and ``standard_normal``
-    sequences bit for bit. ``derive`` returns independent child streams,
+    (seed, spawn_key) pairs give equal ``random``, ``standard_normal`` and
+    ``standard_gamma`` sequences bit for bit. ``derive`` returns independent child streams,
     which pin Monte Carlo results however the work is split across workers.
     """
 
@@ -59,12 +63,16 @@ class RngHandle:
         """Standard normal variates."""
         return self._gen.standard_normal(shape)
 
+    def gamma(self, k, shape) -> np.ndarray:
+        """Gamma(k, 1) variates; ``k`` broadcasts against ``shape``."""
+        return self._gen.standard_gamma(k, shape)
+
 
 def ginibre(d: int, rng: RngHandle, size: int | None = None, columns: int | None = None) -> np.ndarray:
     """Complex Ginibre matrix: real and imaginary parts iid standard normal.
 
     With this convention E|entry|^2 = 2; the scale drops out of every
-    downstream use (QR phases, normalized GUE spectra, normalized states).
+    downstream use (QR phases, normalized states).
     ``columns`` (default d, at most d) gives a d x columns block instead of a
     square matrix, drawn the same way: all real parts, then all imaginary
     parts. ``size`` stacks that many draws along a leading axis. A sized
@@ -107,9 +115,10 @@ class SpectrumEnsemble:
 
     kind:
       poisson   iid exponential spacings (regular level statistics)
-      gue       eigenvalues of a symmetrized Ginibre matrix, rescaled to
-                unit mean spacing over the middle 80% of levels
-                (chaotic, level-repelling statistics)
+      gue       GUE eigenvalues, from the beta = 2 Hermite tridiagonal
+                model (Dumitriu & Edelman 2002), rescaled to unit mean
+                spacing over the middle 80% of levels (chaotic,
+                level-repelling statistics)
       explicit  a fixed list of levels
     ``mean_spacing`` rescales poisson/gue output.
     """
@@ -150,10 +159,32 @@ def _rescale_bulk(levels: np.ndarray, mean_spacing: float) -> np.ndarray:
     return levels * (mean_spacing / bulk)[..., None]
 
 
+def _gue_tridiagonal(d: int, rng: RngHandle, size: int | None = None) -> np.ndarray:
+    """Unscaled beta = 2 Hermite matrix: real symmetric tridiagonal, with
+    eigenvalues distributed as those of a GUE draw H = (G + G^dagger) / 2,
+    E|H_ij|^2 = 1. Diagonal N(0, 1), k-th off-diagonal entry
+    sqrt(Gamma(d - k, 1)), k = 1 .. d - 1. Shape (d, d), or (size, d, d)."""
+    shape = (d,) if size is None else (int(size), d)
+    diag = rng.normals(shape)
+    off = np.sqrt(rng.gamma(np.arange(d - 1, 0, -1), shape[:-1] + (d - 1,)))
+    h = np.zeros(shape + (d,))
+    i = np.arange(d)
+    h[..., i, i] = diag
+    h[..., i[:-1], i[1:]] = off
+    h[..., i[1:], i[:-1]] = off
+    return h
+
+
 def sample_spectrum(
     ensemble: SpectrumEnsemble, rng: RngHandle, size: int | None = None
 ) -> np.ndarray:
-    """Draw one spectrum (or a stack of ``size``), sorted ascending."""
+    """Draw one spectrum (or a stack of ``size``), sorted ascending.
+
+    GUE levels are the eigenvalues of the beta = 2 Hermite tridiagonal
+    model (Dumitriu & Edelman, J. Math. Phys. 43, 5830, 2002), equal in law
+    to those of a dense (G + G^dagger) / 2, by ``np.linalg.eigvalsh`` of the
+    real matrix; then rescaled to unit bulk spacing.
+    """
     d = ensemble.dim
     shape = (d,) if size is None else (int(size), d)
     if ensemble.kind == "explicit":
@@ -163,9 +194,7 @@ def sample_spectrum(
         u = rng.uniform(shape)
         spacings = -ensemble.mean_spacing * np.log1p(-u)
         return np.cumsum(spacings, axis=-1)
-    g = ginibre(d, rng, size=size)
-    h = 0.5 * (g + dagger(g))
-    levels = np.linalg.eigvalsh(h)
+    levels = np.linalg.eigvalsh(_gue_tridiagonal(d, rng, size))
     return _rescale_bulk(levels, ensemble.mean_spacing)
 
 

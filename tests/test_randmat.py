@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dephwit.linalg import dagger, hs_norm
 from dephwit.randmat import (
     RngHandle,
+    _gue_tridiagonal,
     SpectrumEnsemble,
     StructuredEvolution,
     ginibre,
@@ -16,6 +17,7 @@ from dephwit.randmat import (
     sample_spectrum,
     structured_evolution,
 )
+from helpers import gue_levels_np, np_rng
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +54,17 @@ def test_normals_are_numpys_standard_normal_on_the_philox_stream(seed, key, shap
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
     for _ in range(2):  # the second draw continues the same stream
         assert np.array_equal(handle.normals(shape), gen.standard_normal(shape))
+
+
+@pytest.mark.parametrize(
+    "seed, key, k, shape",
+    [(0, (), 2.5, 5), (123456789, (2, 0, 7), [3.0, 2.0, 1.0], (4, 3)), (2**64 - 1, (1,), 1.0, (2, 3))],
+)
+def test_gamma_is_numpys_standard_gamma_on_the_philox_stream(seed, key, k, shape):
+    handle = RngHandle(seed).derive(*key)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    for _ in range(2):  # the second draw continues the same stream
+        assert np.array_equal(handle.gamma(k, shape), gen.standard_gamma(k, shape))
 
 
 def test_normals_moments():
@@ -181,6 +194,45 @@ def test_gue_small_spacing_suppression():
     poisson = sample_spectrum(SpectrumEnsemble("poisson", 1000), RngHandle(54))
     poisson_fraction = float((np.diff(poisson) < 0.1).mean())
     assert poisson_fraction > 0.06
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_gue_tridiagonal_model_has_the_gue_moments(d):
+    # E Tr H^2 = d^2 and E Tr H^4 = 2 d^3 + d for GUE with E|H_ij|^2 = 1
+    rng = RngHandle(56).derive(d)
+    tr2, tr4 = [], []
+    for _ in range(8):  # 200k draws, 25k at a time
+        h = _gue_tridiagonal(d, rng, size=25_000)
+        h2 = h @ h
+        tr2.append(np.trace(h2, axis1=-2, axis2=-1))
+        tr4.append(np.einsum("nij,nij->n", h2, h2))
+    for samples, exact in ((np.concatenate(tr2), d**2), (np.concatenate(tr4), 2 * d**3 + d)):
+        z = (samples.mean() - exact) / (samples.std(ddof=1) / math.sqrt(samples.size))
+        assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_gue_form_factors_match_the_dense_oracle(d):
+    # two-sample z of E|f(t)|^2 and E|f(2t)|^2 against dense (G + G^dagger) / 2 spectra
+    n = 20_000
+    ours = sample_spectrum(SpectrumEnsemble("gue", d), RngHandle(57).derive(d), size=n)
+    dense = gue_levels_np(np_rng(57 + d), d, n)
+    for t in (0.5, 1.0, 1.5, 3.0):
+        a = np.abs(level_transform_f(ours, t)) ** 2
+        b = np.abs(level_transform_f(dense, t)) ** 2
+        z = (a.mean() - b.mean()) / math.hypot(a.std(ddof=1), b.std(ddof=1)) * math.sqrt(n)
+        assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_smallest_gue_spectra_keep_their_shapes(d):
+    ens = SpectrumEnsemble("gue", d)
+    one = sample_spectrum(ens, RngHandle(58))
+    stack = sample_spectrum(ens, RngHandle(58), size=5)
+    assert one.shape == (d,) and stack.shape == (5, d)
+    assert np.all(np.isfinite(stack))
+    if d == 2:  # two levels at unit spacing
+        np.testing.assert_allclose(np.diff(stack, axis=-1), 1.0, rtol=1e-12)
 
 
 def test_explicit_spectrum_passthrough():
