@@ -35,8 +35,9 @@ class RngHandle:
 
     numpy's ``Generator`` on ``Philox(SeedSequence(seed, spawn_key))``: equal
     (seed, spawn_key) pairs give equal ``random``, ``standard_normal`` and
-    ``standard_gamma`` sequences bit for bit. ``derive`` returns independent child streams,
-    which pin Monte Carlo results however the work is split across workers.
+    ``standard_gamma`` sequences bit for bit. ``derive`` returns independent
+    child streams, which pin Monte Carlo results however the work is split
+    across workers.
     """
 
     seed: int
