@@ -85,9 +85,11 @@ def ginibre(d: int, rng: RngHandle, size: int | None = None, columns: int | None
     if not 1 <= k <= d:
         raise ValueError(f"columns must lie in [1, {d}], got {columns}")
     shape = (d, k) if size is None else (int(size), d, k)
-    re = rng.normals(shape)
-    im = rng.normals(shape)
-    return re + 1j * im
+    # one call draws the real parts, then the imaginary parts, as two calls would
+    parts = rng.normals((2,) + shape)
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts
+    return z
 
 
 def haar_unitary(d: int, rng: RngHandle, size: int | None = None, columns: int | None = None) -> np.ndarray:

@@ -11,10 +11,13 @@ Monte Carlo sampling is chunked: samples are split into fixed-size
 chunks, each drawn from its own derived RNG substream. Each chunk reports
 (count, mean, M2), its sum of squared deviations, and the chunks are
 merged in chunk order. Results are therefore bit-identical for any worker
-count. The Choi check's samples are rank one, the outer product of two
-vectors of length d^2, so its chunk moments come from centered factors
-through matrix products over the chunk axis, in O(n d^2) memory, instead
-of a second pass over n dense (d^2, d^2) samples.
+count. Twirl and Choi chunks multiply their n Haar unitaries by each fixed
+operator in one (n d, d) @ (d, d) GEMM and write into three (n, d, d)
+buffers of their own. The Choi check reports only the root of the summed
+squared standard errors, and its samples are rank one, outer products of
+two vectors of length d^2: a chunk keeps its mean and M2 summed over all
+entries, from centered factors, at one complex GEMM for the mean and
+O(n d^2) vector work for M2, never a pass over n dense (d^2, d^2) samples.
 
 Haar averages of ||Tr_env(U M U^dagger)||^2 use only the eigenvalues of M.
 Haar measure is right-invariant, so with M = W diag(lam) W^dagger the
@@ -152,6 +155,16 @@ def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
         return list(pool.map(task, range(n_chunks)))
 
 
+def _abs_sq(x: np.ndarray) -> np.ndarray:
+    return x.real**2 + x.imag**2
+
+
+def _row_norms_sq(x: np.ndarray) -> np.ndarray:
+    # |x_n|^2 per row of a complex (n, k) array, without a squared copy
+    parts = x.view(np.float64)
+    return np.einsum("nk,nk->n", parts, parts)
+
+
 def _two_pass(samples: np.ndarray):
     """(count, mean, M2) of one chunk of samples, M2 from a second pass.
 
@@ -174,13 +187,16 @@ def _merge(partials):
 
     The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983);
     merging in a fixed order keeps the result independent of ``workers``.
+    M2 is entrywise, shaped like the mean, or summed over all entries, a
+    scalar; the shift term is summed down to M2's shape, and the standard
+    error has that shape too.
     """
     n, mean, m2 = partials[0]
     for n_b, mean_b, m2_b in partials[1:]:
         delta = mean_b - mean
         total = n + n_b
         mean = mean + delta * (n_b / total)
-        m2 = m2 + m2_b + (delta.real**2 + delta.imag**2) * (n * n_b / total)
+        m2 = m2 + m2_b + _abs_sq(delta).reshape(np.shape(m2) + (-1,)).sum(axis=-1) * (n * n_b / total)
         n = total
     return mean, np.sqrt(m2 / ((n - 1) * n))
 
@@ -189,7 +205,8 @@ def _mc_chunks(chunk_fn, n_samples: int, rng: RngHandle, workers: int):
     """Mean and standard error from chunk statistics.
 
     ``chunk_fn(handle, count)`` draws ``count`` samples from ``handle`` and
-    returns their (count, mean, M2). Chunk k always uses rng.derive(0, k).
+    returns their (count, mean, M2), M2 entrywise or summed over entries
+    (:func:`_merge`). Chunk k always uses rng.derive(0, k).
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -454,6 +471,23 @@ def twirl_constants(a_op, b_op) -> TwirlConstants:
     return TwirlConstants(a, b)
 
 
+def _conjugate_pair(u: np.ndarray, a_op: np.ndarray, b_op: np.ndarray):
+    """U^dagger A U and U^dagger B U for a stack of n unitaries, and a spare
+    buffer of their shape: three (n, d, d) arrays in all.
+
+    W = U^dagger is made C-contiguous once, so each product by a fixed
+    operator is one (n d, d) @ (d, d) GEMM; the product with U stays a
+    stacked matmul, and U^dagger B U overwrites W.
+    """
+    n, d, _ = u.shape
+    w = np.conjugate(np.swapaxes(u, 1, 2), order="C")
+    tmp, left = np.empty_like(w), np.empty_like(w)
+    for op, out in ((a_op, left), (b_op, w)):
+        np.matmul(w.reshape(n * d, d), op, out=tmp.reshape(n * d, d))
+        np.matmul(tmp, u, out=out)
+    return left, w, tmp
+
+
 def twirl_mc(
     a_op,
     b_op,
@@ -477,11 +511,9 @@ def twirl_mc(
         raise ValueError("operator dimensions differ")
 
     def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
-        u = haar_unitary(d, handle, size=count)
-        udag = dagger(u)
-        left = udag @ a_op @ u
-        right = udag @ b_op @ u
-        return left @ x @ right
+        left, right, tmp = _conjugate_pair(haar_unitary(d, handle, size=count), a_op, b_op)
+        np.matmul(left.reshape(-1, d), x, out=tmp.reshape(-1, d))
+        return np.matmul(tmp, right, out=left)
 
     mean, stderr = _mc_moments(sample_fn, n_samples, rng, workers)
     return (mean, stderr) if return_stderr else mean
@@ -494,43 +526,49 @@ def maximally_entangled_ket(d: int) -> np.ndarray:
     return omega
 
 
-def _abs_sq(x: np.ndarray) -> np.ndarray:
-    return x.real**2 + x.imag**2
-
-
 def _choi_moments(a_op: np.ndarray, b_op: np.ndarray, n_samples: int, rng: RngHandle, workers: int):
-    """Mean and entrywise standard error of the sampled Choi matrix.
+    """Mean and aggregate standard error of the sampled Choi matrix.
 
     The channel output on |w><w'| is (column w of U^dagger A U) times (row
     w' of U^dagger B U), so each sample's Choi matrix is the rank-one outer
-    product of L = vec(U^dagger A U) / d and R = vec((U^dagger B U)^T).
-    With chunk means a, b and centered factors l = L - a, r = R - b, the
-    chunk mean is a b^T + c with c = l^T r / n, and every sum over the chunk
-    is a product of (n, d^2) factors: no (n, d^2, d^2) tensor is formed.
+    product of L = vec(U^dagger (A/d) U) and vec((U^dagger B U)^T). A chunk
+    uses R = vec(U^dagger B U), whose columns are those of the transpose
+    permuted; the merged mean's columns are permuted back once. With chunk
+    means a, b and centered factors l = L - a, r = R - b (in place), the
+    chunk mean is a b^T + c, c = l^T r / n, its one complex GEMM. Only the
+    sum of M2 over all entries is kept: with alpha = l conj(a) and
+    beta = r conj(b), per-sample vectors,
+
+        sum M2 = |a|^2 sum_n |r_n|^2 + |b|^2 sum_n |l_n|^2
+                 + sum_n |l_n|^2 |r_n|^2 - n |c|^2
+                 + 2 Re sum_n (conj(alpha_n) beta_n + conj(alpha_n) |r_n|^2
+                               + conj(beta_n) |l_n|^2),
+
+    as the centered factors sum to zero, which is O(n d^2) vector work.
+    Returns the mean and sqrt(sum M2 / (n (n - 1))), the root sum of the
+    squared entrywise standard errors.
     """
     d = a_op.shape[0]
+    a_scaled = a_op / d
 
     def chunk_fn(handle: RngHandle, count: int):
-        u = haar_unitary(d, handle, size=count)
-        udag = dagger(u)
-        left = (udag @ a_op @ u).reshape(count, -1) / d
-        right = np.swapaxes(udag @ b_op @ u, 1, 2).reshape(count, -1)
-        a, b = left.mean(axis=0), right.mean(axis=0)
-        l, r = left - a, right - b
-        l_sq, r_sq = _abs_sq(l), _abs_sq(r)
-        c = (l.T @ r) / count
-        # M2 = sum_n |a_i r_nj + b_j l_ni + l_ni r_nj|^2 - n |c_ij|^2, as the
-        # centered factors sum to zero; each cross term is one GEMM
-        cross = a[:, None] * b.conj() * (l.conj().T @ r)
-        cross += a[:, None] * (l.T @ r_sq).conj()
-        cross += b * (l_sq.T @ r).conj()
-        m2 = np.outer(_abs_sq(a), r_sq.sum(axis=0)) + np.outer(l_sq.sum(axis=0), _abs_sq(b))
-        m2 += l_sq.T @ r_sq
-        m2 += 2.0 * cross.real
-        m2 -= count * _abs_sq(c)
+        left, right, _ = _conjugate_pair(haar_unitary(d, handle, size=count), a_scaled, b_op)
+        l, r = left.reshape(count, -1), right.reshape(count, -1)
+        a, b = l.mean(axis=0), r.mean(axis=0)
+        l -= a
+        r -= b
+        c = l.T @ r
+        c /= count
+        l_sq, r_sq = _row_norms_sq(l), _row_norms_sq(r)
+        alpha, beta = l @ a.conj(), r @ b.conj()
+        cross = np.vdot(alpha, beta).real + alpha.real @ r_sq + beta.real @ l_sq
+        m2 = np.vdot(a, a).real * r_sq.sum() + np.vdot(b, b).real * l_sq.sum() + l_sq @ r_sq
+        m2 += 2.0 * cross - count * np.vdot(c, c).real
         return count, np.outer(a, b) + c, m2
 
-    return _mc_chunks(chunk_fn, n_samples, rng, workers)
+    mean, std_error = _mc_chunks(chunk_fn, n_samples, rng, workers)
+    mean = mean.reshape(d * d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
+    return mean, float(std_error)
 
 
 def choi_isotropic_check(
@@ -541,7 +579,8 @@ def choi_isotropic_check(
     The twirled channel is estimated on the full operator basis
     |w><w'| (one shared unitary stream), assembled into the Choi matrix,
     and compared with a I / d + b |Omega><Omega|. The aggregate Monte
-    Carlo error is the root sum of squared entrywise standard errors.
+    Carlo error is the root sum of squared entrywise standard errors,
+    from M2 summed over entries.
     Each sample's Choi matrix is rank one, vec(U^dagger A U) times
     vec((U^dagger B U)^T) / d, so the chunk moments come from centered
     (n, d^2) factors and memory stays O(n d^2) rather than O(n d^4).
@@ -551,14 +590,13 @@ def choi_isotropic_check(
     d = a_op.shape[0]
     # undefined dimensions fail before any sampling
     consts = twirl_constants(a_op, b_op)
-    mean, stderr = _choi_moments(a_op, b_op, n_samples, rng, workers)
+    mean, mc_error = _choi_moments(a_op, b_op, n_samples, rng, workers)
     omega = maximally_entangled_ket(d)
     analytic = consts.a * np.eye(d * d, dtype=complex) / d + consts.b * np.outer(
         omega, omega.conj()
     )
     residual = float(hs_norm(mean - analytic))
-    aggregate = float(math.sqrt(float((stderr**2).sum())))
-    return ChoiCheckResult(residual, aggregate, consts, n_samples)
+    return ChoiCheckResult(residual, mc_error, consts, n_samples)
 
 
 def trace_distance(a, b) -> float:

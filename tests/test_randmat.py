@@ -89,6 +89,21 @@ def test_ginibre_moments():
     assert abs(sq.mean() - 2.0) <= 4.0 * 2.0 / math.sqrt(n)
 
 
+@pytest.mark.parametrize(
+    "seed, key, d, size, columns",
+    [(0, (), 3, None, None), (31, (0, 4), 4, None, 2), (2**64 - 1, (1,), 3, 5, None), (7, (2, 1), 5, 6, 3)],
+)
+def test_ginibre_is_real_then_imaginary_normals_on_the_philox_stream(seed, key, d, size, columns):
+    shape = (d, d if columns is None else columns)
+    shape = shape if size is None else (size,) + shape
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    re = gen.standard_normal(shape)
+    im = gen.standard_normal(shape)
+    g = ginibre(d, RngHandle(seed, key), size, columns)
+    assert g.shape == shape and g.dtype == complex
+    assert np.array_equal(g, re + 1j * im)
+
+
 def test_ginibre_reproducible():
     assert np.array_equal(ginibre(3, RngHandle(5)), ginibre(3, RngHandle(5)))
 

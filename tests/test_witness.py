@@ -29,6 +29,7 @@ from dephwit.witness import (
     McEstimate,
     _choi_moments,
     _mc_moments,
+    _merge,
     choi_isotropic_check,
     haar_average_distance_sq,
     haar_witness_prefactor_sq,
@@ -823,6 +824,50 @@ def test_mc_moments_large_offset_complex_matrix():
     np.testing.assert_allclose(mean, samples.mean(axis=0), rtol=1e-12)
     var = samples.real.var(axis=0, ddof=1) + samples.imag.var(axis=0, ddof=1)
     np.testing.assert_allclose(std_error, np.sqrt(var / n), rtol=1e-6)
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_twirl_mc_matches_the_dense_conjugation_kernel(d):
+    # the reference forms each sample as dagger(u) @ a_op @ u, then left @ x @ right
+    def sample_fn(handle, count):
+        u = haar_unitary(d, handle, size=count)
+        left = dagger(u) @ a_op @ u
+        right = dagger(u) @ b_op @ u
+        return left @ x @ right
+
+    n = 2 * MC_CHUNK + 76
+    rng = np_rng(190 + d)
+    a_op, b_op, x = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3))
+    handle = RngHandle(191)
+    mean, std_error = twirl_mc(a_op, b_op, x, n, handle, return_stderr=True)
+    samples = _regenerate(sample_fn, n, handle)
+    np.testing.assert_allclose(mean, samples.mean(axis=0), rtol=1e-12)
+    var = samples.real.var(axis=0, ddof=1) + samples.imag.var(axis=0, ddof=1)
+    np.testing.assert_allclose(std_error, np.sqrt(var / n), rtol=1e-12)
+
+
+def test_merge_with_summed_m2_is_the_entrywise_merge_summed():
+    rng = np_rng(192)
+    partials = [
+        (count, rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5)), rng.uniform(0.5, 2.0, size=(4, 5)))
+        for count in (MC_CHUNK, MC_CHUNK, 76)
+    ]
+    mean, std_error = _merge(partials)
+    summed_mean, summed_error = _merge([(count, mu, m2.sum()) for count, mu, m2 in partials])
+    assert np.array_equal(summed_mean, mean)
+    assert np.shape(summed_error) == ()
+    assert summed_error**2 == pytest.approx(float((std_error**2).sum()), rel=1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_choi_identity_pair_has_rounding_scale_finite_error(d, workers):
+    # every sample is |Omega><Omega| up to rounding, so the summed M2 is at
+    # the rounding scale and its cancelling terms must not drive it negative
+    eye = np.eye(d, dtype=complex)
+    for seed in range(50):
+        mc_error = choi_isotropic_check(eye, eye, MC_CHUNK + 76, RngHandle(193, (seed,)), workers).mc_error
+        assert math.isfinite(mc_error) and mc_error <= 1e-14
 
 
 def test_mc_results_identical_across_worker_counts():
