@@ -1,11 +1,12 @@
 """Command-line driver for reproducible witness experiments.
 
 Usage: ``dephwit <command> --config <path> --output <path>
-[--format csv|json]``. The config file describes the experiment and
-the command line says where its results go. Every run is pinned by the
-file's seed: the master seed spawns fixed substreams for state
-generation, operator draws, and the Monte Carlo chunks, so identical
-configs produce byte-identical output files for any worker count.
+[--format csv|json]``, the options before or after the command. The
+config file describes the experiment and the command line says where its
+results go. Every run is pinned by the file's seed: the master seed
+spawns fixed substreams for state generation, operator draws, and the
+Monte Carlo chunks, so identical configs produce byte-identical output
+files for any worker count.
 Wall-clock timing goes to stderr only.
 A ``structured-average`` run with a fixed spectrum (quenched, or the
 explicit ensemble) has exact rows and draws nothing; its ``n_samples``
@@ -323,12 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Seeded witness experiments for nonclassical bipartite correlations.",
     )
     parser.add_argument("--version", action="version", version=f"dephwit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument("--output", required=True, help="path of the results file")
-        p.add_argument("--format", choices=FORMATS, default="json", help="results format (default json)")
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help=f"one of {', '.join(COMMANDS)}")
+    parser.add_argument("--config", required=True, help="path to a key = value config file")
+    parser.add_argument("--output", required=True, help="path of the results file")
+    parser.add_argument("--format", choices=FORMATS, default="json", help="results format (default json)")
     return parser
 
 

@@ -166,15 +166,18 @@ def _gue_tridiagonal(d: int, rng: RngHandle, size: int | None = None) -> np.ndar
     """Unscaled beta = 2 Hermite matrix: real symmetric tridiagonal, with
     eigenvalues distributed as those of a GUE draw H = (G + G^dagger) / 2,
     E|H_ij|^2 = 1. Diagonal N(0, 1), k-th off-diagonal entry
-    sqrt(Gamma(d - k, 1)), k = 1 .. d - 1. Shape (d, d), or (size, d, d)."""
+    sqrt(Gamma(d - k, 1)), k = 1 .. d - 1. Shape (d, d), or (size, d, d).
+    The three diagonals are strided slices of each matrix's d * d entries
+    in row-major order: step d + 1 from 0 (diagonal), from 1 (above) and
+    from d (below)."""
     shape = (d,) if size is None else (int(size), d)
     diag = rng.normals(shape)
     off = np.sqrt(rng.gamma(np.arange(d - 1, 0, -1), shape[:-1] + (d - 1,)))
     h = np.zeros(shape + (d,))
-    i = np.arange(d)
-    h[..., i, i] = diag
-    h[..., i[:-1], i[1:]] = off
-    h[..., i[1:], i[:-1]] = off
+    flat = h.reshape(shape[:-1] + (d * d,))
+    flat[..., :: d + 1] = diag
+    flat[..., 1 :: d + 1] = off
+    flat[..., d :: d + 1] = off
     return h
 
 

@@ -208,6 +208,11 @@ def _column_monomials():
 
 
 _MONOMIALS, _MONOMIAL_OF_TAU = _column_monomials()
+# per monomial, the power of P_0 = d and the other factors as indices into
+# (P_1, P_2, P_-2, P_-1), the columns after P_0, P_-1 first
+_FACTORS = [
+    (e[0], tuple(k for k in (3, 2, 1, 0) for _ in range(e[k + 1]))) for e in _MONOMIALS.tolist()
+]
 
 
 def monomial_weights(weights) -> np.ndarray:
@@ -226,22 +231,36 @@ def witness_means(kappa, levels, times) -> np.ndarray:
     ``levels`` has shape (d,) or (n, d) and ``times`` is 1-d; the result has
     shape (times,) or (n, times). One phase table exp(-iEt) over all spectra
     and times gives both power sums: P_1 = d f(t) sums it and P_2 = d f(2t)
-    sums its square, with no second exp.
+    sums its square, with no second table. The table is written from the
+    real products x = tE, cos(x) into the real parts of one complex buffer
+    and sin(-x) into its imaginary parts, with no complex exp or multiply.
+    P_0 = d joins the weights, which are then summed over the monomials
+    that share the rest of their factors. Each remaining product of power
+    sums is an earlier product times one more sum, so a shared factor such
+    as P_-1^2 is multiplied once and no power is taken.
     """
     levels = np.asarray(levels, dtype=float)
     times = np.asarray(times, dtype=float)
     d = levels.shape[-1]
-    phases = np.exp(-1j * times[:, None] * levels[..., None, :])
-    p1 = phases.sum(axis=-1)
+    x = times[:, None] * levels[..., None, :]
+    phases = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=phases.real)
+    np.sin(np.negative(x, out=x), out=phases.imag)
+    p1 = np.einsum("...k->...", phases)
     phases *= phases
-    p2 = phases.sum(axis=-1)
-    # P_k for k = 0, 1, 2, -2, -1, the columns of _MONOMIALS
-    sums = (d, p1, p2, p2.conj(), p1.conj())
-    total = 0.0
-    for weight, exponents in zip(kappa, _MONOMIALS):
-        term = weight
-        for p_k, e in zip(sums, exponents):
-            if e:
-                term = term * p_k**e
-        total = total + term
+    p2 = np.einsum("...k->...", phases)
+    sums = (p1, p2, p2.conj(), p1.conj())
+    # monomials that differ only in their power of d share one product
+    weights = {}
+    for weight, (d_power, factors) in zip(np.asarray(kappa).tolist(), _FACTORS):
+        weights[factors] = weights.get(factors, 0.0) + weight * d**d_power
+    total = weights.pop((), 0.0)
+    products = {}
+    for factors, weight in weights.items():
+        # each product is a shorter one, formed before, times one more sum
+        for n in range(len(factors)):
+            key = factors[: n + 1]
+            if key not in products:
+                products[key] = sums[key[-1]] if n == 0 else products[key[:-1]] * sums[key[-1]]
+        total = total + weight * products[factors]
     return total.real

@@ -36,8 +36,10 @@ rows are a Monte Carlo over shared spectra, correlated by design.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,21 +140,53 @@ def _chunk_counts(n_samples: int) -> list[int]:
 
 
 def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
-    # results do not depend on the worker count, so threads beyond the cores buy nothing
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or n_chunks <= 1:
+    """``[worker_fn(k) for k in range(n_chunks)]`` on up to ``workers`` threads.
+
+    Threads beyond the cores or the chunks buy nothing, since results do
+    not depend on the worker count. Thread w runs chunk w first, so every
+    thread runs a chunk of its own; after that each takes the next chunk
+    not yet taken. No thread exits before every thread has started, so
+    all of them are alive at once and no two share a thread identifier,
+    which a thread started after another's exit may reuse. The caller
+    only waits: chunks run on the caller's thread allocate from the main
+    malloc arena, which returns freed pages to the system and faults them
+    in again for the next chunk. The first exception raised stops further
+    claims and is raised again once every thread has finished.
+    """
+    workers = min(workers, os.cpu_count() or 1, n_chunks)
+    if workers <= 1:
         return [worker_fn(k) for k in range(n_chunks)]
-    from concurrent.futures import ThreadPoolExecutor  # a serial run skips the import
-
-    # pool threads start from numpy's default error state, not the caller's
+    results = [None] * n_chunks
+    failures = []
+    claim = threading.Lock()
+    unclaimed = itertools.count(workers)
+    # threads start from numpy's default error state, not the caller's
     errors = np.geterr()
+    started = threading.Event()
 
-    def task(k: int):
-        with np.errstate(**errors):
-            return worker_fn(k)
+    def share(k: int) -> None:
+        try:
+            with np.errstate(**errors):
+                while k < n_chunks and not failures:
+                    results[k] = worker_fn(k)
+                    with claim:
+                        k = next(unclaimed)
+        except BaseException as exc:  # raised again on the caller below
+            failures.append(exc)
+        finally:
+            started.wait()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(n_chunks)))
+    threads = [threading.Thread(target=share, args=(w,)) for w in range(workers)]
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        started.set()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def _abs_sq(x: np.ndarray) -> np.ndarray:

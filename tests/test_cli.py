@@ -580,6 +580,41 @@ def test_a_missing_output_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_options_before_the_command_write_the_same_bytes(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CHECK)
+    after, before = tmp_path / "after.csv", tmp_path / "before.csv"
+    assert cli.main(["theorem-check", "--config", str(cfg), "--output", str(after), "--format", "csv"]) == 0
+    assert cli.main(["--format", "csv", "--config", str(cfg), "theorem-check", "--output", str(before)]) == 0
+    assert before.read_bytes() == after.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{cfg}", "--output", "{out}"],  # no command
+        ["theorem", "--config", "{cfg}", "--output", "{out}"],  # not a command
+        ["theorem-check", "--config", "{cfg}", "--output", "{out}", "--format", "xml"],
+    ],
+)
+def test_a_bad_command_line_exits_2(tmp_path, capsys, argv):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CHECK)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([arg.format(cfg=cfg, out=out) for arg in argv])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("dephwit: error: ")
+    assert not out.exists()
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"dephwit {__version__}\n"
+
+
 @pytest.mark.parametrize(
     "value, message",
     [

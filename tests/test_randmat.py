@@ -226,6 +226,24 @@ def test_gue_tridiagonal_model_has_the_gue_moments(d):
         assert abs(z) <= 4.0
 
 
+@pytest.mark.parametrize("size", [None, 5])
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_gue_tridiagonal_is_the_fancy_index_construction_bit_for_bit(d, size):
+    # the same normals and gammas, placed by index arrays on the three diagonals
+    h = _gue_tridiagonal(d, RngHandle(59, (d,)), size)
+    rng = RngHandle(59, (d,))
+    shape = (d,) if size is None else (size, d)
+    diag = rng.normals(shape)
+    off = np.sqrt(rng.gamma(np.arange(d - 1, 0, -1), shape[:-1] + (d - 1,)))
+    expected = np.zeros(shape + (d,))
+    i = np.arange(d)
+    expected[..., i, i] = diag
+    expected[..., i[:-1], i[1:]] = off
+    expected[..., i[1:], i[:-1]] = off
+    assert h.shape == expected.shape
+    assert np.array_equal(h, expected)
+
+
 @pytest.mark.parametrize("d", [3, 8])
 def test_gue_form_factors_match_the_dense_oracle(d):
     # two-sample z of E|f(t)|^2 and E|f(2t)|^2 against dense (G + G^dagger) / 2 spectra

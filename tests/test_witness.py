@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from dephwit.states import (
     random_pure,
     schmidt,
 )
-from dephwit import witness
+from dephwit import weingarten, witness
 from dephwit.dephasing import discord_delta
 from dephwit.witness import (
     MC_CHUNK,
@@ -511,6 +513,40 @@ def test_grouped_witness_means_match_the_column_oracle(d_s, d_e):
             assert _rel(mean, (witness_columns_np(spectrum, t) @ weights).real) <= 1e-12
 
 
+def _witness_means_direct(kappa, levels, times):
+    # exp(-iEt) as numpy's complex exp, then every monomial of _MONOMIALS
+    # written out factor by factor; also the sum of the terms' moduli, the
+    # scale of the rounding in the weighted sum
+    phases = np.exp(-1j * np.multiply.outer(times, levels).swapaxes(0, -2))
+    p1 = phases.sum(axis=-1)
+    p2 = (phases * phases).sum(axis=-1)
+    sums = (levels.shape[-1], p1, p2, np.conj(p2), np.conj(p1))
+    total = scale = 0.0
+    for weight, exponents in zip(kappa, weingarten._MONOMIALS):
+        term = weight
+        for p_k, e in zip(sums, exponents):
+            for _ in range(e):
+                term = term * p_k
+        total = total + term
+        scale = scale + np.abs(term)
+    return np.real(total), scale
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("spread", [1.0, 1e2, 1e4])
+def test_witness_means_match_the_direct_complex_exponential(stacked, spread):
+    # complex weights, and |tE| up to 1e4 so cos and sin reduce large arguments
+    rng = np_rng(947)
+    d = 6
+    kappa = rng.normal(size=8) + 1j * rng.normal(size=8)
+    levels = rng.uniform(-1.0, 1.0, size=(4, d) if stacked else d) * spread
+    times = np.array([-1.0, 0.3, 0.75, 1.0])
+    means = witness_means(kappa, levels, times)
+    expected, scale = _witness_means_direct(kappa, levels, times)
+    assert means.shape == expected.shape == levels.shape[:-1] + times.shape
+    assert np.max(np.abs(means - expected) / scale) <= 1e-13
+
+
 @pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2)])
 def test_witness_rows_per_squared_discord_are_one_vector(d_s, d_e):
     reference = None
@@ -891,31 +927,63 @@ def test_mc_results_identical_across_worker_counts():
 
 
 def test_worker_threads_are_capped_at_the_core_count(monkeypatch):
-    import concurrent.futures
+    # every thread started draws a chunk of its own, so the threads that
+    # draw unitaries are all the threads the run starts; the caller waits,
+    # and no thread exits before all have started, so their identifiers differ
+    threads, idents, alive = [], [], []
+    draw = witness.haar_unitary
 
-    pools = []
+    def recording_draw(*args, **kwargs):
+        threads.append(threading.current_thread())
+        idents.append(threading.get_ident())
+        alive.append(threading.active_count())
+        return draw(*args, **kwargs)
 
-    class RecordingPool:
-        # runs every chunk on the calling thread, so no thread is started
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, iterable):
-            return list(map(fn, iterable))
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(witness, "haar_unitary", recording_draw)
     monkeypatch.setattr(witness.os, "cpu_count", lambda: 3)
     m = np.diag([1.0, 2.0, 3.0, 4.0])
     n = 5 * MC_CHUNK
+    before = threading.active_count()
     capped = theorem_mc_check(m, 2, 2, n, RngHandle(187), workers=10**6)
+    assert len(threads) == 5 and len(set(threads)) == len(set(idents)) == 3
+    assert threading.current_thread() not in threads
+    assert max(alive) <= before + 3
+    threads.clear()
     assert capped == theorem_mc_check(m, 2, 2, n, RngHandle(187), workers=1)
-    assert pools == [3]
+    assert set(threads) == {threading.current_thread()}
+
+
+def test_every_chunk_runs_once_under_rapid_thread_switching(monkeypatch):
+    # more threads than cores, switching every microsecond: a chunk claimed
+    # twice or skipped would show in the calls or the results
+    monkeypatch.setattr(witness.os, "cpu_count", lambda: 6)
+    calls = []
+
+    def worker(k):
+        calls.append(k)
+        return k * k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_chunks in (5, 6, 7, 97):
+            calls.clear()
+            assert witness._run_chunks(worker, n_chunks, 6) == [k * k for k in range(n_chunks)]
+            assert sorted(calls) == list(range(n_chunks))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_chunk_raises_on_the_caller(monkeypatch):
+    monkeypatch.setattr(witness.os, "cpu_count", lambda: 2)
+
+    def worker(k):
+        if k == 3:
+            raise ArithmeticError("chunk 3")
+        return k
+
+    with pytest.raises(ArithmeticError, match="chunk 3"):
+        witness._run_chunks(worker, 6, 2)
 
 
 def _materialized_choi(a_op, b_op):
