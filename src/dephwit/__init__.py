@@ -8,8 +8,6 @@ Monte Carlo estimators for Haar-averaged witness distances and the
 twirling channel, and a reproducible seeded CLI.
 """
 
-from __future__ import annotations
-
 __version__ = "0.5.0"
 
 from .linalg import (
@@ -69,54 +67,3 @@ from .witness import (
     witness_distance,
     witness_trajectory,
 )
-
-__all__ = [
-    "__version__",
-    "HermitianEigensystem",
-    "dagger",
-    "eig_hermitian",
-    "hs_inner",
-    "hs_norm",
-    "partial_trace_env",
-    "partial_trace_sys",
-    "BipartiteState",
-    "SchmidtDecomposition",
-    "classical_state",
-    "concurrence_pure",
-    "from_pure",
-    "purity",
-    "random_mixed",
-    "random_pure",
-    "schmidt",
-    "DephasingBasis",
-    "dephase_local",
-    "dephase_total",
-    "discord_delta",
-    "eigenbasis_of_marginal",
-    "is_classical",
-    "RngHandle",
-    "SpectrumEnsemble",
-    "StructuredEvolution",
-    "ginibre",
-    "haar_unitary",
-    "level_transform_f",
-    "sample_spectrum",
-    "structured_evolution",
-    "ChoiCheckResult",
-    "McEstimate",
-    "TwirlConstants",
-    "WitnessResult",
-    "choi_isotropic_check",
-    "haar_average_distance_sq",
-    "haar_witness_prefactor_sq",
-    "pure_state_rms_prefactor",
-    "structured_average_distance",
-    "structured_average_grid",
-    "theorem_mc_check",
-    "theorem_rhs",
-    "trace_distance",
-    "twirl_constants",
-    "twirl_mc",
-    "witness_distance",
-    "witness_trajectory",
-]

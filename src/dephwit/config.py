@@ -221,29 +221,25 @@ _amplitudes = _numbers(complex, "a nonempty bracket list of amplitudes")
 _real_list = _numbers(float, "a nonempty bracket list of real numbers")
 _table = _numbers(float, "a nested bracket table [[...],[...]]", table=True)
 
+# the commands that take a state, and those that take a structured evolution
+_STATE = ("discord", "witness-trajectory", "haar-average", "structured-average")
+_EVOLUTION = ("witness-trajectory", "structured-average")
+
 KEYS = (
     Key("d_S", "d_s", _integer(1), COMMANDS, required=True),
     Key("d_E", "d_e", _integer(1), COMMANDS, required=True),
     Key("seed", "seed", _integer(0, SEED_MAX), COMMANDS, required=True),
     # the state: exactly one of these three
-    Key("pure", "pure", _amplitudes,
-        ("discord", "witness-trajectory", "haar-average", "structured-average")),
-    Key("probabilities", "probabilities", _table,
-        ("discord", "witness-trajectory", "haar-average", "structured-average")),
-    Key("random_rank", "random_rank", _integer(1),
-        ("discord", "witness-trajectory", "haar-average", "structured-average")),
+    Key("pure", "pure", _amplitudes, _STATE),
+    Key("probabilities", "probabilities", _table, _STATE),
+    Key("random_rank", "random_rank", _integer(1), _STATE),
     # the structured evolution and its time grid
-    Key("ensemble", "ensemble_kind", _choice(ENSEMBLE_KINDS),
-        ("witness-trajectory", "structured-average"), required=True),
-    Key("mean_spacing", "mean_spacing", _real(positive=True),
-        ("witness-trajectory", "structured-average"), default=1.0),
-    Key("levels", "explicit_levels", _real_list, ("witness-trajectory", "structured-average")),
-    Key("time_start", "time_start", _real(), ("witness-trajectory", "structured-average"),
-        required=True),
-    Key("time_stop", "time_stop", _real(), ("witness-trajectory", "structured-average"),
-        required=True),
-    Key("time_steps", "time_steps", _integer(1), ("witness-trajectory", "structured-average"),
-        required=True),
+    Key("ensemble", "ensemble_kind", _choice(ENSEMBLE_KINDS), _EVOLUTION, required=True),
+    Key("mean_spacing", "mean_spacing", _real(positive=True), _EVOLUTION, default=1.0),
+    Key("levels", "explicit_levels", _real_list, _EVOLUTION),
+    Key("time_start", "time_start", _real(), _EVOLUTION, required=True),
+    Key("time_stop", "time_stop", _real(), _EVOLUTION, required=True),
+    Key("time_steps", "time_steps", _integer(1), _EVOLUTION, required=True),
     # Monte Carlo; structured-average rows with a fixed spectrum (quenched, or
     # the explicit ensemble) are exact, and n_samples only labels them
     Key("n_samples", "n_samples", _integer(2),
@@ -297,7 +293,7 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
     config = ExperimentConfig(command=command, **values)
     dim = config.d_s * config.d_e if (config.d_s and config.d_e) else None
     given = sorted({"pure", "probabilities", "random_rank"} & entries.keys())
-    if command in _KEY["pure"].commands:
+    if command in _STATE:
         if not given:
             errors.append("state_spec: give exactly one of pure, probabilities, random_rank")
         elif len(given) > 1:

@@ -44,31 +44,21 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    a = as_square(a)
-    if a.ndim != 2:
-        raise ValueError("hermiticity check expects a single matrix, not a stack")
-    return float(np.abs(a - dagger(a)).max(initial=0.0)) <= _tol(HERMITICITY_TOL, float(hs_norm(a)))
-
-
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     a = as_square(a, name)
-    if not is_hermitian(a):
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a single matrix, not a stack")
+    # written as not <= so that a NaN entry fails
+    if not float(np.abs(a - dagger(a)).max(initial=0.0)) <= _tol(HERMITICITY_TOL, float(hs_norm(a))):
         raise ValueError(f"{name} is not Hermitian within tolerance {HERMITICITY_TOL}")
     return a
 
 
-def is_unitary(u: np.ndarray) -> bool:
-    u = as_square(u)
-    if u.ndim != 2:
-        raise ValueError("unitarity check expects a single matrix, not a stack")
-    eye = np.eye(u.shape[-1])
-    return float(np.abs(dagger(u) @ u - eye).max(initial=0.0)) <= UNITARITY_TOL
-
-
 def require_unitary(u, name: str = "matrix") -> np.ndarray:
     u = as_square(u, name)
-    if not is_unitary(u):
+    if u.ndim != 2:
+        raise ValueError(f"{name} must be a single matrix, not a stack")
+    if not float(np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max(initial=0.0)) <= UNITARITY_TOL:
         raise ValueError(f"{name} is not unitary within tolerance {UNITARITY_TOL}")
     return u
 
@@ -204,8 +194,6 @@ def eig_hermitian(a: np.ndarray) -> HermitianEigensystem:
     at these dimensions).
     """
     a = require_hermitian(a, "a")
-    if a.ndim != 2:
-        raise ValueError("eig_hermitian expects a single matrix, not a stack")
     d = a.shape[0]
     work = 0.5 * (a + dagger(a))
     vecs = np.eye(d, dtype=complex)

@@ -29,6 +29,10 @@ from .linalg import dagger, require_unitary
 ENSEMBLE_KINDS = ("poisson", "gue", "explicit")
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class RngHandle:
     """Deterministic PRNG stream identified by a 64-bit seed and a spawn key.
@@ -45,16 +49,20 @@ class RngHandle:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.seed) < 2**64):
+        # int() would truncate 1.5 to the stream of 1 and take True for 1
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit nonnegative integer")
+        key = tuple(self.spawn_key)
+        if not all(_is_integer(k) and k >= 0 for k in key):
+            raise ValueError("spawn_key entries must be nonnegative integers")
         self.seed = int(self.seed)
-        self.spawn_key = tuple(int(k) for k in self.spawn_key)
+        self.spawn_key = tuple(int(k) for k in key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.Philox(ss))
 
     def derive(self, *indices: int) -> "RngHandle":
         """Independent child stream addressed by the given indices."""
-        return RngHandle(self.seed, self.spawn_key + tuple(int(i) for i in indices))
+        return RngHandle(self.seed, self.spawn_key + indices)
 
     def uniform(self, shape=None) -> np.ndarray:
         """Uniform doubles in [0, 1)."""

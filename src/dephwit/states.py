@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import as_square, dagger, eig_hermitian, hs_norm_sq, partial_trace_env
+from .linalg import dagger, eig_hermitian, hs_norm_sq, partial_trace_env, require_hermitian
 from .randmat import RngHandle, ginibre, haar_unitary
 
 STATE_TOL = 1e-10
@@ -34,13 +34,11 @@ class BipartiteState:
     def __post_init__(self) -> None:
         if self.d_s < 1 or self.d_e < 1:
             raise ValueError("dimensions must be at least 1")
-        rho = as_square(self.rho, "rho")
-        if rho.ndim != 2 or rho.shape[0] != self.d_s * self.d_e:
+        rho = require_hermitian(self.rho, "rho")
+        if rho.shape[0] != self.d_s * self.d_e:
             raise ValueError(
                 f"rho must be {self.d_s * self.d_e} x {self.d_s * self.d_e}, got {rho.shape}"
             )
-        if not linalg.is_hermitian(rho):
-            raise ValueError("rho is not Hermitian within tolerance")
         if abs(complex(np.trace(rho)) - 1.0) > STATE_TOL:
             raise ValueError("rho does not have unit trace")
         lowest = eig_hermitian(rho).eigenvalues[0]
@@ -145,19 +143,11 @@ def classical_state(p, system_basis=None, env_basis=None) -> BipartiteState:
     if abs(float(p.sum()) - 1.0) > STATE_TOL:
         raise ValueError(f"probability table sums to {p.sum()}, expected 1")
     d_s, d_e = p.shape
-    a = np.eye(d_s, dtype=complex) if system_basis is None else as_square(system_basis)
-    b = np.eye(d_e, dtype=complex) if env_basis is None else as_square(env_basis)
-    linalg.require_unitary(a, "system_basis")
-    linalg.require_unitary(b, "env_basis")
-    rho = np.zeros((d_s * d_e, d_s * d_e), dtype=complex)
-    for i in range(d_s):
-        pa = np.outer(a[:, i], a[:, i].conj())
-        for j in range(d_e):
-            if p[i, j] == 0.0:
-                continue
-            pb = np.outer(b[:, j], b[:, j].conj())
-            rho += p[i, j] * np.kron(pa, pb)
-    return BipartiteState(d_s, d_e, rho)
+    a = np.eye(d_s) if system_basis is None else linalg.require_unitary(system_basis, "system_basis")
+    b = np.eye(d_e) if env_basis is None else linalg.require_unitary(env_basis, "env_basis")
+    # column i d_e + j of a x b is a_i x b_j, weighted by p_ij
+    ab = np.kron(a, b)
+    return BipartiteState(d_s, d_e, (ab * p.reshape(-1)) @ dagger(ab))
 
 
 def random_pure(d_s: int, d_e: int, rng: RngHandle) -> np.ndarray:

@@ -11,27 +11,7 @@ Monte Carlo sampling is chunked: samples are split into fixed-size
 chunks, each drawn from its own derived RNG substream. Each chunk reports
 (count, mean, M2), its sum of squared deviations, and the chunks are
 merged in chunk order. Results are therefore bit-identical for any worker
-count. Twirl and Choi chunks multiply their n Haar unitaries by each fixed
-operator in one (n d, d) @ (d, d) GEMM and write into three (n, d, d)
-buffers of their own. The Choi check reports only the root of the summed
-squared standard errors, and its samples are rank one, outer products of
-two vectors of length d^2: a chunk keeps its mean and M2 summed over all
-entries, from centered factors, at one complex GEMM for the mean and
-O(n d^2) vector work for M2, never a pass over n dense (d^2, d^2) samples.
-
-Haar averages of ||Tr_env(U M U^dagger)||^2 use only the eigenvalues of M.
-Haar measure is right-invariant, so with M = W diag(lam) W^dagger the
-product U W is again Haar, and U M U^dagger = V diag(lam) V^dagger where V
-holds the columns of a Haar unitary on the range of M: a d x k Haar
-isometry, k = rank M, drawn from a d x k Ginibre block. The rank is that of
-``np.linalg.matrix_rank``: eigenvalues with |lam| <= d eps max|lam| are
-rounding noise of M and are dropped. A pure state's M has rank 2, so each
-sample costs d_s^2 d_e k operations and 2 d k normals instead of two
-d x d products and 2 d^2 normals; a zero M draws nothing.
-
-Structured averages take the mean over the Haar eigenvectors exactly
-(:mod:`dephwit.weingarten`): fixed spectra give exact rows, and annealed
-rows are a Monte Carlo over shared spectra, correlated by design.
+count.
 """
 
 from __future__ import annotations
@@ -326,9 +306,19 @@ def theorem_rhs(m, d_s: int, d_e: int) -> float:
 
 
 def _haar_mean_sq(m: np.ndarray, d_s: int, d_e: int, n_samples: int, rng: RngHandle, workers: int) -> McEstimate:
+    """Monte Carlo Haar mean of ||Tr_env(U M U^dagger)||^2 from the eigenvalues of M.
+
+    Haar measure is right-invariant, so with M = W diag(lam) W^dagger the
+    product U W is again Haar, and U M U^dagger = V diag(lam) V^dagger where V
+    holds the columns of a Haar unitary on the range of M: a d x k Haar
+    isometry, k = rank M, drawn from a d x k Ginibre block. The rank is that of
+    ``np.linalg.matrix_rank``: eigenvalues with |lam| <= d eps max|lam| are
+    rounding noise of M and are dropped. A pure state's M has rank 2, so each
+    sample costs d_s^2 d_e k operations and 2 d k normals; a full-rank M draws
+    d x d Haar unitaries, and a zero M draws nothing.
+    """
     d = d_s * d_e
     lam = np.linalg.eigvalsh(m)
-    # the rank rule of np.linalg.matrix_rank: smaller eigenvalues are rounding noise of M
     lam = lam[np.abs(lam) > d * np.finfo(float).eps * np.abs(lam).max()]
 
     def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
@@ -351,10 +341,7 @@ def haar_average_distance_sq(
     """Monte Carlo Haar average of the squared witness distance.
 
     Converges to the dimensional prefactor times the squared discord of
-    ``rho``; take ``.rms()`` for the root-mean-square witness. By the
-    right invariance of Haar measure each sample conjugates only the
-    nonzero eigenvalues of M = rho - rho_deph by a Haar isometry on its
-    range (rank 2 for a pure state); no eigenvector of M is needed.
+    ``rho``; take ``.rms()`` for the root-mean-square witness.
     """
     m = _check_state_pair(rho, rho_deph)
     return _haar_mean_sq(m, rho.d_s, rho.d_e, n_samples, rng, workers)
@@ -364,14 +351,7 @@ def theorem_mc_check(
     m, d_s: int, d_e: int, n_samples: int, rng: RngHandle, workers: int = 1
 ) -> tuple[McEstimate, float]:
     """Monte Carlo estimate of the Haar-averaged squared reduced norm,
-    paired with its closed-form value.
-
-    Samples depend on M through its eigenvalues alone: those above the
-    rank threshold d eps max|lam| are conjugated by a d x rank Haar
-    isometry, which by right invariance has the law of U W, W the
-    eigenvectors of those eigenvalues. A full-rank M draws full d x d
-    Haar unitaries.
-    """
+    paired with its closed-form value :func:`theorem_rhs`."""
     m = require_hermitian(m, "m")
     rhs = theorem_rhs(m, d_s, d_e)  # rejects bad dimensions before any sampling
     return _haar_mean_sq(m, d_s, d_e, n_samples, rng, workers), rhs
@@ -433,6 +413,7 @@ def structured_average_grid(
     return estimates
 
 
+# kept while perfbench/tracer.py names it in MC_CALLS; the CLI calls structured_average_grid
 def structured_average_distance(
     rho: BipartiteState,
     rho_deph: BipartiteState,
@@ -467,6 +448,8 @@ def witness_trajectory(
     Tr_E(U M U^dagger), M = rho - rho_deph.
     """
     m = _check_state_pair(rho, rho_deph)
+    if se.levels.size != rho.dim:
+        raise ValueError(f"evolution dimension {se.levels.size} does not match state dimension {rho.dim}")
     times = np.asarray(time_grid, dtype=float).reshape(-1)
     hs_vals = np.empty(times.size)
     td_vals = np.empty(times.size)
@@ -613,11 +596,7 @@ def choi_isotropic_check(
     The twirled channel is estimated on the full operator basis
     |w><w'| (one shared unitary stream), assembled into the Choi matrix,
     and compared with a I / d + b |Omega><Omega|. The aggregate Monte
-    Carlo error is the root sum of squared entrywise standard errors,
-    from M2 summed over entries.
-    Each sample's Choi matrix is rank one, vec(U^dagger A U) times
-    vec((U^dagger B U)^T) / d, so the chunk moments come from centered
-    (n, d^2) factors and memory stays O(n d^2) rather than O(n d^4).
+    Carlo error is the root sum of squared entrywise standard errors.
     """
     a_op = as_square(a_op, "a_op")
     b_op = as_square(b_op, "b_op")

@@ -46,6 +46,23 @@ def test_rng_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize(
+    "seed, key", [(1.5, ()), (1.0, ()), (True, ()), (np.float64(3.0), ()), (1, (0.5,)), (1, (False,))]
+)
+def test_rng_rejects_non_integer_seeds_and_keys(seed, key):
+    with pytest.raises(ValueError, match="integer"):
+        RngHandle(seed, key)
+    with pytest.raises(ValueError, match="integer"):
+        RngHandle(1).derive(*key, seed)
+
+
+def test_rng_accepts_numpy_integers():
+    handle = RngHandle(np.uint64(2**64 - 1), (np.int64(3),))
+    assert handle == RngHandle(2**64 - 1, (3,))
+    assert np.array_equal(handle.normals(4), RngHandle(2**64 - 1).derive(3).normals(4))
+    assert RngHandle(7).derive(np.int32(2)) == RngHandle(7, (2,))
+
+
+@pytest.mark.parametrize(
     "seed, key, shape",
     [(0, (), 5), (123456789, (2, 0, 7), (3, 4)), (2**64 - 1, (1,), (2, 3, 5))],
 )

@@ -159,6 +159,19 @@ def test_classical_state_in_rotated_bases():
     np.testing.assert_allclose(marg, sorted(p.sum(axis=1)), atol=1e-12)
 
 
+@pytest.mark.parametrize("d_s, d_e", [(2, 3), (3, 2)])
+def test_classical_state_matches_the_sum_of_product_projectors(d_s, d_e):
+    rng = RngHandle(304, (d_s, d_e))
+    a, b = haar_unitary(d_s, rng), haar_unitary(d_e, rng)
+    p = np_rng(305).dirichlet(np.ones(d_s * d_e)).reshape(d_s, d_e)
+    expected = sum(
+        p[i, j] * np.kron(np.outer(a[:, i], a[:, i].conj()), np.outer(b[:, j], b[:, j].conj()))
+        for i in range(d_s)
+        for j in range(d_e)
+    )
+    np.testing.assert_allclose(classical_state(p, a, b).rho, expected, rtol=0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # random generators
 

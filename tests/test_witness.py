@@ -629,6 +629,13 @@ def test_witness_trajectory_classical_flat():
     assert np.all(result.hs_distance <= 1e-9)
 
 
+def test_witness_trajectory_rejects_mismatched_evolution():
+    state, deph = _pair(SQRT8, 2, 2)
+    se = structured_evolution(SpectrumEnsemble("poisson", 6), RngHandle(143))
+    with pytest.raises(ValueError, match="evolution dimension 6 does not match state dimension 4"):
+        witness_trajectory(state, deph, se, [0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # pure-state consistency between average-witness routes
 
