@@ -100,7 +100,7 @@ def _dephased_pair(config: ExperimentConfig, rng: RngHandle):
     if basis.degenerate:
         print(
             "warning: reduced system state has a degenerate spectrum; "
-            "the dephasing basis follows the deterministic tie-broken convention",
+            "delta depends on the basis the eigensolver picks inside the degenerate eigenspace",
             file=sys.stderr,
         )
     deph = dephase_total(state, basis)

@@ -19,6 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .randmat import ENSEMBLE_KINDS
+from .states import STATE_TOL
 
 COMMANDS = (
     "discord",
@@ -305,7 +306,7 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
             errors.append(f"pure: needs {dim} amplitudes, got {pure.size}")
         else:
             norm = float(np.linalg.norm(pure))
-            if abs(norm - 1.0) > 1e-10:
+            if abs(norm - 1.0) > STATE_TOL:
                 errors.append(f"pure: vector is not normalized (norm {norm!r})")
     if probabilities is not None and dim is not None:
         if probabilities.shape != (config.d_s, config.d_e):
@@ -313,7 +314,7 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
             errors.append(f"probabilities: table must be {config.d_s} x {config.d_e}, got {got}")
         elif np.any(probabilities < 0.0):
             errors.append("probabilities: entries must be nonnegative")
-        elif abs(float(probabilities.sum()) - 1.0) > 1e-10:
+        elif abs(float(probabilities.sum()) - 1.0) > STATE_TOL:
             total = float(probabilities.sum())
             errors.append(f"probabilities: entries sum to {total!r}, expected 1")
     if config.random_rank is not None and dim is not None and config.random_rank > dim:

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_GAP, as_square, dagger, eig_hermitian, hs_norm, require_unitary
+from .linalg import as_square, dagger, eig_hermitian, hs_norm, require_unitary
 from .states import BipartiteState, purity
 
 CLASSICALITY_TOL = 1e-8
+DEGENERACY_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,9 @@ class DephasingBasis:
 
     ``vectors`` is a d_s x d_s unitary whose columns are the basis
     vectors, ordered by ascending marginal eigenvalue. ``degenerate``
-    flags spectra with any gap below the eigensolver's degeneracy
-    threshold; the basis is then a convention (the deterministic
-    tie-broken one), not a property of the state alone.
+    flags spectra with any gap below ``DEGENERACY_GAP``; delta then
+    depends on the basis the eigensolver picks inside the degenerate
+    eigenspace, not on the state alone.
     """
 
     vectors: np.ndarray

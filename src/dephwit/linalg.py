@@ -1,8 +1,7 @@
 """Dense complex-matrix primitives.
 
 Partial traces over either factor, Hilbert-Schmidt geometry, unitarity
-checks, and a cyclic Jacobi eigensolver for complex Hermitian matrices
-with a deterministic ordering convention for degenerate spectra.
+checks, and a cyclic Jacobi eigensolver for complex Hermitian matrices.
 
 Matrices are plain ``numpy`` arrays of complex128. Where it costs nothing,
 operations broadcast over leading axes so stacked inputs (Monte Carlo
@@ -18,7 +17,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
-DEGENERACY_GAP = 1e-9
 JACOBI_SWEEP_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 
@@ -115,11 +113,7 @@ class HermitianEigensystem:
     """Spectral data of a Hermitian matrix.
 
     ``eigenvalues`` is ascending; ``eigenvectors`` holds the matching
-    orthonormal columns. Within a degenerate cluster (gap below
-    ``DEGENERACY_GAP``) columns are ordered by descending magnitude, then
-    phase, of their first significant component, and every column is
-    rescaled so that component is real and positive. This makes the basis
-    a deterministic function of the input matrix.
+    orthonormal columns.
     """
 
     eigenvalues: np.ndarray
@@ -128,34 +122,6 @@ class HermitianEigensystem:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ dagger(v)
-
-
-def _first_significant(col: np.ndarray) -> int:
-    idx = np.flatnonzero(np.abs(col) > 1e-9)
-    return int(idx[0]) if idx.size else int(np.argmax(np.abs(col)))
-
-
-def _canonicalize_columns(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    d = vals.size
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and vals[j] - vals[j - 1] < DEGENERACY_GAP:
-            j += 1
-        if j - i > 1:
-            def key(k: int):
-                z = out[:, k][_first_significant(out[:, k])]
-                return (-abs(z), math.atan2(z.imag, z.real))
-
-            order = sorted(range(i, j), key=key)
-            out[:, i:j] = out[:, order]
-        i = j
-    for k in range(d):
-        z = out[:, k][_first_significant(out[:, k])]
-        if abs(z) > 0.0:
-            out[:, k] *= z.conjugate() / abs(z)
-    return out
 
 
 def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
@@ -186,8 +152,7 @@ def eig_hermitian(a: np.ndarray) -> HermitianEigensystem:
 
     Sweeps run until the off-diagonal Hilbert-Schmidt norm drops below
     ``JACOBI_SWEEP_TOL`` (hybrid absolute/relative). Eigenvalues come back
-    ascending with deterministically tie-broken eigenvectors; see
-    :class:`HermitianEigensystem`.
+    ascending, each with its eigenvector in the matching column.
 
     Raises ``ValueError`` for non-Hermitian input and ``ConvergenceError``
     if the sweep limit is exceeded (does not happen for Hermitian input
@@ -216,8 +181,6 @@ def eig_hermitian(a: np.ndarray) -> HermitianEigensystem:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
-    vals = np.diagonal(work).real.copy()
+    vals = np.diagonal(work).real
     order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = _canonicalize_columns(vals, vecs[:, order])
-    return HermitianEigensystem(vals, vecs)
+    return HermitianEigensystem(vals[order], vecs[:, order])

@@ -158,14 +158,13 @@ class SpectrumEnsemble:
 
 
 def _rescale_bulk(levels: np.ndarray, mean_spacing: float) -> np.ndarray:
-    # unit mean spacing measured over the middle 80% of each sorted spectrum
+    # unit mean spacing measured over the middle 80% of each sorted spectrum;
+    # ceil(0.9 d) - floor(0.1 d) >= 2 for d >= 2, so the window holds a spacing
     d = levels.shape[-1]
     if d < 2:
         return levels
     lo = int(math.floor(0.1 * d))
     hi = int(math.ceil(0.9 * d))
-    if hi - lo < 2:
-        lo, hi = 0, d
     bulk = np.diff(levels[..., lo:hi], axis=-1).mean(axis=-1)
     return levels * (mean_spacing / bulk)[..., None]
 

@@ -127,6 +127,15 @@ def concurrence_pure(psi, d_s: int, d_e: int) -> float:
     return float(2.0 * np.sqrt(np.sum(np.triu(np.outer(p, p), 1))))
 
 
+def _basis(u, d: int, name: str) -> np.ndarray:
+    if u is None:
+        return np.eye(d)
+    u = linalg.require_unitary(u, name)
+    if u.shape != (d, d):
+        raise ValueError(f"{name} must be {d} x {d} to match the table, got {u.shape}")
+    return u
+
+
 def classical_state(p, system_basis=None, env_basis=None) -> BipartiteState:
     """Classically correlated state sum_ij p_ij |a_i><a_i| x |b_j><b_j|.
 
@@ -143,10 +152,8 @@ def classical_state(p, system_basis=None, env_basis=None) -> BipartiteState:
     if abs(float(p.sum()) - 1.0) > STATE_TOL:
         raise ValueError(f"probability table sums to {p.sum()}, expected 1")
     d_s, d_e = p.shape
-    a = np.eye(d_s) if system_basis is None else linalg.require_unitary(system_basis, "system_basis")
-    b = np.eye(d_e) if env_basis is None else linalg.require_unitary(env_basis, "env_basis")
     # column i d_e + j of a x b is a_i x b_j, weighted by p_ij
-    ab = np.kron(a, b)
+    ab = np.kron(_basis(system_basis, d_s, "system_basis"), _basis(env_basis, d_e, "env_basis"))
     return BipartiteState(d_s, d_e, (ab * p.reshape(-1)) @ dagger(ab))
 
 

@@ -385,6 +385,22 @@ def test_golden_runs_are_identical_for_any_worker_count_and_match_direct_calls(
         assert [dict(zip(header, map(json.loads, line.split(",")))) for line in lines[1:]] == expected
 
 
+def test_discord_on_a_degenerate_table_warns_and_keeps_its_results(tmp_path, capsys):
+    # marginal {0.2, 0.4, 0.4}; the last two rows carry the same environment
+    # weights, so every eigenbasis of the marginal leaves the state fixed
+    text = "d_S = 3\nd_E = 2\nseed = 28\nprobabilities = [[0.1, 0.1], [0.2, 0.2], [0.2, 0.2]]\n"
+    code, out = _run(tmp_path, "degenerate", text, command="discord")
+    assert code == 0
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "warning: reduced system state has a degenerate spectrum; "
+        "delta depends on the basis the eigensolver picks inside the degenerate eigenspace"
+    )
+    assert json.loads(out.read_text())["results"] == {
+        "classical": 1, "degenerate_marginal": 1, "delta": 0.0, "delta_sq": 0.0,
+        "purity": 0.18000000000000002, "purity_dephased": 0.18000000000000002,
+    }
+
+
 def test_version_matches_pyproject():
     # results files record the version, so the package metadata must agree
     tomllib = pytest.importorskip("tomllib")

@@ -129,6 +129,18 @@ def test_dephase_total_marginals_and_purity(seed):
     assert hs_norm(again.rho - deph.rho) <= 1e-10
 
 
+def test_dephase_total_ignores_the_order_and_phases_of_the_basis_columns():
+    # the map depends only on the projectors |v_mu><v_mu|
+    state = random_mixed(3, 2, 4, RngHandle(133))
+    basis = eigenbasis_of_marginal(state)
+    perm = [2, 0, 1]
+    phases = np.exp(1j * np.array([0.3, -2.0, 2.9]))
+    shuffled = DephasingBasis(basis.vectors[:, perm] * phases, basis.source_eigenvalues[perm], False)
+    np.testing.assert_allclose(
+        dephase_total(state, shuffled).rho, dephase_total(state, basis).rho, rtol=0, atol=1e-14
+    )
+
+
 def test_dephase_total_rejects_mismatched_basis():
     s = from_pure(SQRT8, 2, 2)
     other = eigenbasis_of_marginal(BipartiteState(3, 2, np.eye(6, dtype=complex) / 6))

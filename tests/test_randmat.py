@@ -285,6 +285,13 @@ def test_smallest_gue_spectra_keep_their_shapes(d):
         np.testing.assert_allclose(np.diff(stack, axis=-1), 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_small_gue_spectra_have_the_requested_spacing_over_the_window(d):
+    levels = sample_spectrum(SpectrumEnsemble("gue", d, mean_spacing=2.5), RngHandle(59), size=6)
+    window = levels[:, math.floor(0.1 * d) : math.ceil(0.9 * d)]
+    np.testing.assert_allclose(np.diff(window, axis=-1).mean(axis=-1), 2.5, rtol=0, atol=1e-12)
+
+
 def test_explicit_spectrum_passthrough():
     ens = SpectrumEnsemble("explicit", 3, explicit_levels=[0.0, 1.0, 2.0])
     np.testing.assert_array_equal(sample_spectrum(ens, RngHandle(55)), [0.0, 1.0, 2.0])

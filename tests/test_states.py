@@ -148,6 +148,22 @@ def test_classical_state_rejects_bad_tables():
         classical_state(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative entry
 
 
+@pytest.mark.parametrize(
+    "p, bases, message",
+    [
+        (np.full((2, 3), 1 / 6), {"system_basis": np.eye(3)}, "system_basis must be 2 x 2"),
+        (np.full((2, 3), 1 / 6), {"env_basis": np.eye(2)}, "env_basis must be 3 x 3"),
+        # a 4 x 4 product of two wrong bases broadcasts against a 1 x 4 table
+        (np.full((1, 4), 1 / 4), {"system_basis": np.eye(2), "env_basis": np.eye(2)}, "system_basis must be 1 x 1"),
+        (np.full((2, 2), 1 / 4), {"system_basis": np.eye(1), "env_basis": np.eye(4)}, "system_basis must be 2 x 2"),
+        (np.full((2, 2), 1 / 4), {"env_basis": np.eye(1)}, "env_basis must be 2 x 2"),
+    ],
+)
+def test_classical_state_rejects_bases_that_do_not_match_the_table(p, bases, message):
+    with pytest.raises(ValueError, match=message):
+        classical_state(p, **bases)
+
+
 def test_classical_state_in_rotated_bases():
     rng = RngHandle(303)
     a = haar_unitary(2, rng)
