@@ -14,7 +14,7 @@ is still required but unused, and the stderr line says so.
 
 The Monte Carlo commands run on ``DEPHWIT_WORKERS`` threads, one when
 the variable is unset. It has no upper limit, but a run starts at most
-``os.cpu_count()`` threads; results are the same for any worker count.
+``os.cpu_count()`` threads.
 Exit status: 0 on success, 1 when the run fails, its results are not
 finite or its output cannot be written (``DEPHWIT_WORKERS`` not a
 positive integer included), 2 when the config cannot be read or is

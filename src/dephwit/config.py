@@ -241,8 +241,7 @@ KEYS = (
     Key("time_start", "time_start", _real(), _EVOLUTION, required=True),
     Key("time_stop", "time_stop", _real(), _EVOLUTION, required=True),
     Key("time_steps", "time_steps", _integer(1), _EVOLUTION, required=True),
-    # Monte Carlo; structured-average rows with a fixed spectrum (quenched, or
-    # the explicit ensemble) are exact, and n_samples only labels them
+    # Monte Carlo
     Key("n_samples", "n_samples", _integer(2),
         ("haar-average", "theorem-check", "lemma-check", "choi-check", "structured-average"),
         required=True),

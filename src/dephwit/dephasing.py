@@ -68,9 +68,8 @@ def dephase_local(a, basis: DephasingBasis) -> np.ndarray:
 def dephase_total(state: BipartiteState, basis: DephasingBasis | None = None) -> BipartiteState:
     """Dephase the system side of a total state: sum_mu Pi_mu rho Pi_mu.
 
-    Only the system-diagonal blocks of rho in the V x 1 frame survive.
-    Both marginals are invariant; the purity never increases. With no
-    basis given, the marginal eigenbasis of ``state`` is used.
+    The purity never increases. With no basis given, the marginal
+    eigenbasis of ``state`` is used.
     """
     if basis is None:
         basis = eigenbasis_of_marginal(state)

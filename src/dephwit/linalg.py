@@ -151,8 +151,7 @@ def eig_hermitian(a: np.ndarray) -> HermitianEigensystem:
     """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
 
     Sweeps run until the off-diagonal Hilbert-Schmidt norm drops below
-    ``JACOBI_SWEEP_TOL`` (hybrid absolute/relative). Eigenvalues come back
-    ascending, each with its eigenvector in the matching column.
+    ``JACOBI_SWEEP_TOL`` (hybrid absolute/relative).
 
     Raises ``ValueError`` for non-Hermitian input and ``ConvergenceError``
     if the sweep limit is exceeded (does not happen for Hermitian input
@@ -162,8 +161,6 @@ def eig_hermitian(a: np.ndarray) -> HermitianEigensystem:
     d = a.shape[0]
     work = 0.5 * (a + dagger(a))
     vecs = np.eye(d, dtype=complex)
-    if d == 1:
-        return HermitianEigensystem(np.array([work[0, 0].real]), vecs)
     stop = _tol(JACOBI_SWEEP_TOL, hs_norm(work))
     skip = stop / (d * d)
     off_mask = ~np.eye(d, dtype=bool)

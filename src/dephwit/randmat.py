@@ -6,15 +6,10 @@ eigenvalue spectra with Poisson or GUE level statistics, structured
 time evolutions W exp(-iDt) W^dagger, and the normalized Fourier
 transform of the level density. GUE spectra come from the beta = 2
 Hermite tridiagonal model of Dumitriu & Edelman (J. Math. Phys. 43, 5830,
-2002): the eigenvalues of a real symmetric tridiagonal matrix built from
-d normals and d - 1 gamma variates have the law of those of a dense GUE
-matrix built from 2 d^2 normals.
+2002): d normals and d - 1 gamma variates in place of the 2 d^2 normals
+of a dense draw.
 
-All randomness flows through :class:`RngHandle`, a seeded counter-based
-Philox stream with hierarchical derivation. Uniforms come from numpy's
-``Generator.random``, normals from its ``standard_normal`` (a ziggurat) and
-gamma variates from its ``standard_gamma`` on that stream, so a handle's
-output is pinned entirely by (seed, spawn key) and the numpy version.
+All randomness flows through :class:`RngHandle`.
 """
 
 from __future__ import annotations
@@ -38,10 +33,10 @@ class RngHandle:
     """Deterministic PRNG stream identified by a 64-bit seed and a spawn key.
 
     numpy's ``Generator`` on ``Philox(SeedSequence(seed, spawn_key))``: equal
-    (seed, spawn_key) pairs give equal ``random``, ``standard_normal`` and
-    ``standard_gamma`` sequences bit for bit. ``derive`` returns independent
-    child streams, which pin Monte Carlo results however the work is split
-    across workers.
+    (seed, spawn_key) pairs give equal ``random``, ``standard_normal`` (a
+    ziggurat) and ``standard_gamma`` sequences bit for bit under one numpy
+    version. ``derive`` returns independent child streams, which pin Monte
+    Carlo results however the work is split across workers.
     """
 
     seed: int
@@ -126,10 +121,8 @@ class SpectrumEnsemble:
 
     kind:
       poisson   iid exponential spacings (regular level statistics)
-      gue       GUE eigenvalues, from the beta = 2 Hermite tridiagonal
-                model (Dumitriu & Edelman 2002), rescaled to unit mean
-                spacing over the middle 80% of levels (chaotic,
-                level-repelling statistics)
+      gue       GUE eigenvalues, rescaled to unit mean spacing over the
+                middle 80% of levels (chaotic, level-repelling statistics)
       explicit  a fixed list of levels
     ``mean_spacing`` rescales poisson/gue output.
     """
@@ -158,7 +151,6 @@ class SpectrumEnsemble:
 
 
 def _rescale_bulk(levels: np.ndarray, mean_spacing: float) -> np.ndarray:
-    # unit mean spacing measured over the middle 80% of each sorted spectrum;
     # ceil(0.9 d) - floor(0.1 d) >= 2 for d >= 2, so the window holds a spacing
     d = levels.shape[-1]
     if d < 2:
@@ -173,18 +165,15 @@ def _gue_tridiagonal(d: int, rng: RngHandle, size: int | None = None) -> np.ndar
     """Unscaled beta = 2 Hermite matrix: real symmetric tridiagonal, with
     eigenvalues distributed as those of a GUE draw H = (G + G^dagger) / 2,
     E|H_ij|^2 = 1. Diagonal N(0, 1), k-th off-diagonal entry
-    sqrt(Gamma(d - k, 1)), k = 1 .. d - 1. Shape (d, d), or (size, d, d).
-    The three diagonals are strided slices of each matrix's d * d entries
-    in row-major order: step d + 1 from 0 (diagonal), from 1 (above) and
-    from d (below)."""
+    sqrt(Gamma(d - k, 1)), k = 1 .. d - 1. Shape (d, d), or (size, d, d)."""
     shape = (d,) if size is None else (int(size), d)
     diag = rng.normals(shape)
     off = np.sqrt(rng.gamma(np.arange(d - 1, 0, -1), shape[:-1] + (d - 1,)))
     h = np.zeros(shape + (d,))
-    flat = h.reshape(shape[:-1] + (d * d,))
-    flat[..., :: d + 1] = diag
-    flat[..., 1 :: d + 1] = off
-    flat[..., d :: d + 1] = off
+    i = np.arange(d)
+    h[..., i, i] = diag
+    h[..., i[:-1], i[1:]] = off
+    h[..., i[1:], i[:-1]] = off
     return h
 
 
@@ -193,10 +182,8 @@ def sample_spectrum(
 ) -> np.ndarray:
     """Draw one spectrum (or a stack of ``size``), sorted ascending.
 
-    GUE levels are the eigenvalues of the beta = 2 Hermite tridiagonal
-    model (Dumitriu & Edelman, J. Math. Phys. 43, 5830, 2002), equal in law
-    to those of a dense (G + G^dagger) / 2, by ``np.linalg.eigvalsh`` of the
-    real matrix; then rescaled to unit bulk spacing.
+    GUE levels are the eigenvalues of the real tridiagonal model, then
+    rescaled as :class:`SpectrumEnsemble` says.
     """
     d = ensemble.dim
     shape = (d,) if size is None else (int(size), d)

@@ -24,9 +24,8 @@ L_p, conj(L_q), conj(L_p'), L_q', so c(tau) is a product over the cycles
 of tau of power sums sum_p exp(-ikE_p t), k in -2..2: a polynomial in
 d f(t) and d f(2t), with f the normalized transform of
 :func:`dephwit.randmat.level_transform_f`. The 24 columns take only 8
-distinct monomials, so the weights (Wg r)(tau) are first summed into 8
-grouped weights kappa, and each spectrum and time costs one row of a phase
-table exp(-iEt): f(t) is its mean and f(2t) the mean of its square.
+distinct monomials, so the weights (Wg r)(tau) are summed once into 8
+grouped weights kappa (:func:`monomial_weights`).
 """
 
 from __future__ import annotations
@@ -209,9 +208,9 @@ def _column_monomials():
 
 _MONOMIALS, _MONOMIAL_OF_TAU = _column_monomials()
 # per monomial, the power of P_0 = d and the other factors as indices into
-# (P_1, P_2, P_-2, P_-1), the columns after P_0, P_-1 first
+# (P_1, P_2, P_-2, P_-1), the columns after P_0
 _FACTORS = [
-    (e[0], tuple(k for k in (3, 2, 1, 0) for _ in range(e[k + 1]))) for e in _MONOMIALS.tolist()
+    (e[0], tuple(k for k in range(4) for _ in range(e[k + 1]))) for e in _MONOMIALS.tolist()
 ]
 
 
@@ -231,13 +230,7 @@ def witness_means(kappa, levels, times) -> np.ndarray:
     ``levels`` has shape (d,) or (n, d) and ``times`` is 1-d; the result has
     shape (times,) or (n, times). One phase table exp(-iEt) over all spectra
     and times gives both power sums: P_1 = d f(t) sums it and P_2 = d f(2t)
-    sums its square, with no second table. The table is written from the
-    real products x = tE, cos(x) into the real parts of one complex buffer
-    and sin(-x) into its imaginary parts, with no complex exp or multiply.
-    P_0 = d joins the weights, which are then summed over the monomials
-    that share the rest of their factors. Each remaining product of power
-    sums is an earlier product times one more sum, so a shared factor such
-    as P_-1^2 is multiplied once and no power is taken.
+    sums its square.
     """
     levels = np.asarray(levels, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -250,17 +243,7 @@ def witness_means(kappa, levels, times) -> np.ndarray:
     phases *= phases
     p2 = np.einsum("...k->...", phases)
     sums = (p1, p2, p2.conj(), p1.conj())
-    # monomials that differ only in their power of d share one product
-    weights = {}
+    total = 0.0
     for weight, (d_power, factors) in zip(np.asarray(kappa).tolist(), _FACTORS):
-        weights[factors] = weights.get(factors, 0.0) + weight * d**d_power
-    total = weights.pop((), 0.0)
-    products = {}
-    for factors, weight in weights.items():
-        # each product is a shorter one, formed before, times one more sum
-        for n in range(len(factors)):
-            key = factors[: n + 1]
-            if key not in products:
-                products[key] = sums[key[-1]] if n == 0 else products[key[:-1]] * sums[key[-1]]
-        total = total + weight * products[factors]
+        total = total + weight * d**d_power * math.prod(sums[k] for k in factors)
     return total.real

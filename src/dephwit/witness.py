@@ -7,11 +7,11 @@ closed form they must reproduce, structured-evolution averages, the
 twirling channel with its analytic constants and Choi-matrix
 cross-check, and the trace-distance diagnostic.
 
-Monte Carlo sampling is chunked: samples are split into fixed-size
-chunks, each drawn from its own derived RNG substream. Each chunk reports
-(count, mean, M2), its sum of squared deviations, and the chunks are
-merged in chunk order. Results are therefore bit-identical for any worker
-count.
+Monte Carlo sampling is chunked: samples are split into chunks of
+``MC_CHUNK``, chunk k drawn from the substream rng.derive(0, k). Each chunk
+reports (count, mean, M2), its sum of squared deviations, and the chunks
+are merged in chunk order. Results are therefore bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
     which a thread started after another's exit may reuse. The caller
     only waits: chunks run on the caller's thread allocate from the main
     malloc arena, which returns freed pages to the system and faults them
-    in again for the next chunk. The first exception raised stops further
-    claims and is raised again once every thread has finished.
+    in again for the next chunk. The first exception raised in a thread
+    stops further claims and is raised again once every thread has
+    finished; so does an exception on the caller, such as an interrupt.
     """
     workers = min(workers, os.cpu_count() or 1, n_chunks)
     if workers <= 1:
@@ -143,6 +144,7 @@ def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
     # threads start from numpy's default error state, not the caller's
     errors = np.geterr()
     started = threading.Event()
+    finished = threading.Semaphore(0)
 
     def share(k: int) -> None:
         try:
@@ -155,15 +157,27 @@ def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
             failures.append(exc)
         finally:
             started.wait()
+            finished.release()
 
     threads = [threading.Thread(target=share, args=(w,)) for w in range(workers)]
     try:
-        for thread in threads:
-            thread.start()
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            started.set()
+        # the caller waits here, not in Thread.join: up to CPython 3.12 an
+        # interrupted join marks a thread that still runs as stopped, and a
+        # second join of it returns at once
+        for _ in threads:
+            finished.acquire()
+    except BaseException as exc:
+        failures.append(exc)
+        raise
     finally:
-        started.set()
-    for thread in threads:
-        thread.join()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
     if failures:
         raise failures[0]
     return results
@@ -190,17 +204,15 @@ def _two_pass(samples: np.ndarray):
     count = dev.shape[0]
     mean = dev.mean(axis=0)
     dev -= mean
-    # real and imaginary parts side by side, squared and summed in one pass
     parts = dev.reshape(count, -1).view(np.float64)
     m2 = np.einsum("nk,nk->k", parts, parts).reshape(np.shape(mean) + (-1,)).sum(axis=-1)
     return count, mean, m2
 
 
 def _merge(partials):
-    """Mean and standard error from per-chunk (count, mean, M2), in chunk order.
+    """Mean and standard error from per-chunk (count, mean, M2).
 
-    The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983);
-    merging in a fixed order keeps the result independent of ``workers``.
+    The pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983).
     M2 is entrywise, shaped like the mean, or summed over all entries, a
     scalar; the shift term is summed down to M2's shape, and the standard
     error has that shape too.
@@ -219,8 +231,7 @@ def _mc_chunks(chunk_fn, n_samples: int, rng: RngHandle, workers: int):
     """Mean and standard error from chunk statistics.
 
     ``chunk_fn(handle, count)`` draws ``count`` samples from ``handle`` and
-    returns their (count, mean, M2), M2 entrywise or summed over entries
-    (:func:`_merge`). Chunk k always uses rng.derive(0, k).
+    returns their (count, mean, M2) in a form :func:`_merge` takes.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -371,16 +382,12 @@ def structured_average_grid(
 
     The Haar W is averaged exactly, by the degree-4 Weingarten sum
     r(M) Wg c(D, t) of :mod:`dephwit.weingarten`, M = rho - rho_deph. For a
-    dephasing pair r(M) / delta^2 is one fixed vector: the average is exactly
-    delta^2 K(d_s, d_e, D, t), the ensemble analogue of the Haar
-    proportionality. The 24 weights (Wg r)(tau) are summed once into the 8
-    grouped weights kappa of the distinct column monomials, and a stack of
-    spectra costs one phase table exp(-iDt) over all moving times
-    (:func:`dephwit.weingarten.witness_means`). A fixed D (quenched, frozen
-    once from rng.derive(1), or ``explicit``) gives exact rows
-    ``McEstimate(value, 0.0, n_samples)`` that draw nothing; ``n_samples``
-    only labels them. Annealed rows are a Monte Carlo over spectra alone
-    (chunk k from rng.derive(0, k)), each sample the exact mean over W; all
+    dephasing pair r(M) is delta^2 times one fixed vector, so the average is
+    exactly delta^2 K(d_s, d_e, D, t), the ensemble analogue of the Haar
+    proportionality. A fixed D (quenched, frozen once from rng.derive(1), or
+    ``explicit``) gives exact rows ``McEstimate(value, 0.0, n_samples)``
+    that draw nothing; ``n_samples`` only labels them. Annealed rows are a
+    Monte Carlo over spectra alone, each sample the exact mean over W; all
     times share the spectra, so those rows are correlated and must not be
     combined as independent estimates. Rows with t = 0 are exactly zero.
     """
@@ -388,8 +395,6 @@ def structured_average_grid(
     d = rho.dim
     if ensemble.dim != d:
         raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {d}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     times = np.asarray(time_grid, dtype=float).reshape(-1)
     estimates = [McEstimate(0.0, 0.0, n_samples)] * times.size
     moving = np.flatnonzero(times)

@@ -119,6 +119,10 @@ def test_eig_diagonal_permutation():
     np.testing.assert_allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
     perm = np.abs(eig.eigenvectors)
     np.testing.assert_allclose(perm, np.eye(3)[:, [1, 2, 0]], atol=1e-12)
+    for value in (0.3, 1e-300, 5e5, -2.0, 0.0):
+        eig = eig_hermitian(np.array([[value]]))
+        assert np.array_equal(eig.eigenvalues, [value])
+        assert np.array_equal(eig.eigenvectors, [[1.0]])
 
 
 def test_eig_2x2_closed_form():

@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -339,10 +342,27 @@ def test_structured_average_quenched_mode_reproducible():
     assert annealed != a
 
 
-def test_structured_average_rejects_mismatched_ensemble():
+def test_structured_average_rejects_mismatched_ensemble(monkeypatch):
+    calls = []
+    draw = witness.sample_spectrum
+
+    def counting_draw(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "sample_spectrum", counting_draw)
     state, deph = _pair(SQRT8, 2, 2)
     with pytest.raises(ValueError):
         structured_average_distance(state, deph, SpectrumEnsemble("gue", 6), 1.0, 100, RngHandle(1))
+    # one sample is rejected before any spectrum is drawn, annealed or quenched
+    for redraw in (True, False):
+        with pytest.raises(ValueError, match="at least 2"):
+            structured_average_grid(
+                state, deph, SpectrumEnsemble("gue", 4), [0.0, 1.0], 1, RngHandle(1), redraw_spectrum=redraw
+            )
+    assert calls == []
+    structured_average_grid(state, deph, SpectrumEnsemble("gue", 4), [1.0], 2, RngHandle(1))
+    assert len(calls) == 1  # the counter sees the sampler
 
 
 def _grid_case():
@@ -991,6 +1011,26 @@ def test_a_failing_chunk_raises_on_the_caller(monkeypatch):
 
     with pytest.raises(ArithmeticError, match="chunk 3"):
         witness._run_chunks(worker, 6, 2)
+
+
+def test_an_interrupt_on_the_caller_stops_the_pool(monkeypatch):
+    # the caller takes the signal while it waits; the threads finish the
+    # chunks under way, claim no more, and are joined before it re-raises
+    monkeypatch.setattr(witness.os, "cpu_count", lambda: 2)
+    calls = []
+
+    def worker(k):
+        calls.append(k)
+        if k == 2:
+            os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.01)
+        return k
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        witness._run_chunks(worker, 200, 2)
+    assert len(calls) < 200
+    assert threading.active_count() == before
 
 
 def _materialized_choi(a_op, b_op):
