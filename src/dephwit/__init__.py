@@ -8,7 +8,7 @@ Monte Carlo estimators for Haar-averaged witness distances and the
 twirling channel, and a reproducible seeded CLI.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .linalg import (
     HermitianEigensystem,

@@ -11,7 +11,8 @@ Monte Carlo sampling is chunked: samples are split into chunks of
 ``MC_CHUNK``, chunk k drawn from the substream rng.derive(0, k). Each chunk
 reports (count, mean, M2), its sum of squared deviations, and the chunks
 are merged in chunk order. Results are therefore bit-identical for any
-worker count.
+worker count. A Haar-average chunk draws its samples in blocks of about
+``BLOCK_BYTES`` from its own substream (see :func:`_haar_mean_sq`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ from .states import BipartiteState
 from .weingarten import monomial_weights, weingarten_matrix, witness_means, witness_rows
 
 MC_CHUNK = 512
+BLOCK_BYTES = 128 * 1024
+
+
+def _require_mc_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,7 @@ class McEstimate:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ValueError("Monte Carlo estimates need at least 2 samples")
+        _require_mc_samples(self.n_samples)
 
     def rms(self) -> tuple[float, float]:
         """Root of the mean with the propagated standard error.
@@ -233,8 +239,7 @@ def _mc_chunks(chunk_fn, n_samples: int, rng: RngHandle, workers: int):
     ``chunk_fn(handle, count)`` draws ``count`` samples from ``handle`` and
     returns their (count, mean, M2) in a form :func:`_merge` takes.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    _require_mc_samples(n_samples)
     counts = _chunk_counts(n_samples)
     partials = _run_chunks(lambda k: chunk_fn(rng.derive(0, k), counts[k]), len(counts), workers)
     return _merge(partials)
@@ -249,16 +254,16 @@ def _mc_moments(sample_fn, n_samples: int, rng: RngHandle, workers: int):
     return _mc_chunks(lambda handle, count: _two_pass(sample_fn(handle, count)), n_samples, rng, workers)
 
 
-def _batch_norm_sq_reduced(v: np.ndarray, lam: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
+def _batch_norm_sq_reduced(v: np.ndarray, weights: np.ndarray, d_s: int) -> np.ndarray:
     """Per-sample squared HS norm of Tr_env(V diag(lam) V^dagger).
 
     ``v`` is a stack of d x k isometries, row index s d_e + e. Reshaped to
-    (d_s, d_e k), column e k + j carries lam_j, so one product per sample
-    forms the reduced operator at cost d_s^2 d_e k.
+    (d_s, d_e k), column e k + j carries lam_j, so with ``weights`` =
+    ``np.tile(lam, d_e)`` one product per sample forms the reduced operator
+    at cost d_s^2 d_e k.
     """
-    n, k = v.shape[0], lam.size
-    w = v.reshape(n, d_s, d_e * k)
-    red = (w * np.tile(lam, d_e)) @ dagger(w)
+    w = v.reshape(v.shape[0], d_s, weights.size)
+    red = (w * weights) @ dagger(w)
     return np.einsum("nij,nij->n", red.conj(), red).real
 
 
@@ -327,16 +332,30 @@ def _haar_mean_sq(m: np.ndarray, d_s: int, d_e: int, n_samples: int, rng: RngHan
     rounding noise of M and are dropped. A pure state's M has rank 2, so each
     sample costs d_s^2 d_e k operations and 2 d k normals; a full-rank M draws
     d x d Haar unitaries, and a zero M draws nothing.
+
+    A chunk draws its samples in consecutive blocks of
+    b = max(1, BLOCK_BYTES // (16 d k)) from the chunk's substream, one
+    ``haar_unitary`` call per block, so a block's complex d x k stack takes
+    at most ``BLOCK_BYTES`` (unless b = 1) and the chunk's temporaries stay
+    cache-sized. The chunk's samples are its blocks' in order; b depends
+    only on d and k, so results stay bit-identical for any worker count.
     """
     d = d_s * d_e
     lam = np.linalg.eigvalsh(m)
     lam = lam[np.abs(lam) > d * np.finfo(float).eps * np.abs(lam).max()]
+    k = lam.size
+    weights = np.tile(lam, d_e)
 
     def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
-        if lam.size == 0:
+        if k == 0:
             return np.zeros(count)
-        v = haar_unitary(d, handle, size=count, columns=lam.size)
-        return _batch_norm_sq_reduced(v, lam, d_s, d_e)
+        block = max(1, BLOCK_BYTES // (16 * d * k))
+        return np.concatenate(
+            [
+                _batch_norm_sq_reduced(haar_unitary(d, handle, size=min(block, count - s), columns=k), weights, d_s)
+                for s in range(0, count, block)
+            ]
+        )
 
     mean, std_error = _mc_moments(sample_fn, n_samples, rng, workers)
     return McEstimate(float(mean), float(std_error), n_samples)
