@@ -1,9 +1,8 @@
 """Local dephasing and the Hilbert-Schmidt discord measure.
 
-The dephasing map keeps the diagonal of a system operator in the
-eigenbasis of the reduced system state, a unitary V, and drops the rest:
-Phi(A) = V diag(V^dagger A V) V^dagger. Applied to one side of a
-bipartite state it keeps the system-diagonal blocks in the V x 1 frame,
+The dephasing map Phi keeps the system-diagonal blocks of a bipartite
+state in the eigenbasis V of its reduced system state and drops the
+rest: Phi(rho) = sum_mu (|v_mu><v_mu| x 1) rho (|v_mu><v_mu| x 1). It
 leaves both marginals invariant and generally changes the total state.
 The residual Hilbert-Schmidt distance is the discord measure: zero
 exactly for classically correlated states.
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_square, dagger, eig_hermitian, hs_norm, require_unitary
+from .linalg import dagger, eig_hermitian, hs_norm, require_unitary
 from .states import BipartiteState, purity
 
 CLASSICALITY_TOL = 1e-8
@@ -34,14 +33,10 @@ class DephasingBasis:
     """
 
     vectors: np.ndarray
-    source_eigenvalues: np.ndarray
     degenerate: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", require_unitary(self.vectors, "vectors"))
-        object.__setattr__(
-            self, "source_eigenvalues", np.asarray(self.source_eigenvalues, dtype=float)
-        )
 
     @property
     def dim(self) -> int:
@@ -53,16 +48,7 @@ def eigenbasis_of_marginal(state: BipartiteState) -> DephasingBasis:
     eig = eig_hermitian(state.marginal_system())
     gaps = np.diff(eig.eigenvalues)
     degenerate = bool(gaps.size and gaps.min() < DEGENERACY_GAP)
-    return DephasingBasis(eig.eigenvectors, eig.eigenvalues, degenerate)
-
-
-def dephase_local(a, basis: DephasingBasis) -> np.ndarray:
-    """Apply the dephasing map to a system operator: V diag(V^dagger A V) V^dagger."""
-    a = as_square(a, "a")
-    if a.shape != (basis.dim, basis.dim):
-        raise ValueError(f"operator shape {a.shape} does not match basis dimension {basis.dim}")
-    v = basis.vectors
-    return (v * np.diagonal(dagger(v) @ a @ v)) @ dagger(v)
+    return DephasingBasis(eig.eigenvectors, degenerate)
 
 
 def dephase_total(state: BipartiteState, basis: DephasingBasis | None = None) -> BipartiteState:
@@ -100,8 +86,3 @@ def discord_delta(state: BipartiteState) -> float:
             f"purity identity violated: delta^2 = {direct**2}, purity drop = {drop}"
         )
     return direct
-
-
-def is_classical(state: BipartiteState, tol: float = CLASSICALITY_TOL) -> bool:
-    """True when the state is invariant under local dephasing within tol."""
-    return discord_delta(state) <= tol

@@ -1,7 +1,8 @@
 """Dense complex-matrix primitives.
 
-Partial traces over either factor, Hilbert-Schmidt geometry, unitarity
-checks, and a cyclic Jacobi eigensolver for complex Hermitian matrices.
+The partial trace over the environment, the Hilbert-Schmidt norm,
+Hermiticity and unitarity checks, and a cyclic Jacobi eigensolver for
+complex Hermitian matrices.
 
 Matrices are plain ``numpy`` arrays of complex128. Where it costs nothing,
 operations broadcast over leading axes so stacked inputs (Monte Carlo
@@ -75,27 +76,6 @@ def partial_trace_env(x: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
     return np.einsum("...ikjk->...ij", r)
 
 
-def partial_trace_sys(x: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
-    """Trace out the system factor, returning a d_e by d_e operator."""
-    x = as_square(x, "x")
-    if x.shape[-1] != d_s * d_e:
-        raise ValueError(
-            f"operator dimension {x.shape[-1]} does not match d_s*d_e = {d_s * d_e}"
-        )
-    r = x.reshape(x.shape[:-2] + (d_s, d_e, d_s, d_e))
-    return np.einsum("...kikj->...ij", r)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray):
-    """Hilbert-Schmidt inner product Tr(a^dagger b); broadcasts over stacks."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[-2:] != b.shape[-2:]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    out = np.einsum("...ij,...ij->...", np.conj(a), b)
-    return complex(out) if out.ndim == 0 else out
-
-
 def hs_norm_sq(a: np.ndarray):
     """Squared Hilbert-Schmidt norm, clipped to be nonnegative."""
     a = np.asarray(a, dtype=complex)
@@ -118,10 +98,6 @@ class HermitianEigensystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
 
 
 def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:

@@ -2,9 +2,8 @@
 
 Ginibre matrices, Haar-distributed unitaries via phase-corrected QR
 (or their first k columns, a Haar isometry, from a d x k Ginibre block),
-eigenvalue spectra with Poisson or GUE level statistics, structured
-time evolutions W exp(-iDt) W^dagger, and the normalized Fourier
-transform of the level density. GUE spectra come from the beta = 2
+eigenvalue spectra with Poisson or GUE level statistics, and structured
+time evolutions W exp(-iDt) W^dagger. GUE spectra come from the beta = 2
 Hermite tridiagonal model of Dumitriu & Edelman (J. Math. Phys. 43, 5830,
 2002): d normals and d - 1 gamma variates in place of the 2 d^2 normals
 of a dense draw.
@@ -137,17 +136,24 @@ class SpectrumEnsemble:
             raise ValueError(f"unknown ensemble kind: {self.kind!r}")
         if self.dim < 1:
             raise ValueError("ensemble dimension must be at least 1")
-        if not (self.mean_spacing > 0.0):
-            raise ValueError("mean_spacing must be positive")
+        if not 0.0 < self.mean_spacing < math.inf:
+            raise ValueError("mean_spacing must be positive and finite")
         if self.kind == "explicit":
             if self.explicit_levels is None:
                 raise ValueError("explicit ensemble requires explicit_levels")
-            levels = np.asarray(self.explicit_levels, dtype=float)
+            levels = _finite_levels(self.explicit_levels, "explicit_levels")
             if levels.shape != (self.dim,):
                 raise ValueError(
                     f"explicit_levels must have length {self.dim}, got {levels.shape}"
                 )
             object.__setattr__(self, "explicit_levels", np.sort(levels))
+
+
+def _finite_levels(levels, name: str) -> np.ndarray:
+    levels = np.asarray(levels, dtype=float)
+    if not np.isfinite(levels).all():
+        raise ValueError(f"{name} must be finite")
+    return levels
 
 
 def _rescale_bulk(levels: np.ndarray, mean_spacing: float) -> np.ndarray:
@@ -210,7 +216,7 @@ class StructuredEvolution:
 
     def __post_init__(self) -> None:
         w = require_unitary(self.eigvecs, "eigvecs")
-        levels = np.asarray(self.levels, dtype=float)
+        levels = _finite_levels(self.levels, "levels")
         if levels.shape != (w.shape[0],):
             raise ValueError("levels length must match eigvecs dimension")
         object.__setattr__(self, "eigvecs", w)
@@ -228,14 +234,3 @@ def structured_evolution(ensemble: SpectrumEnsemble, rng: RngHandle) -> Structur
     levels = sample_spectrum(ensemble, rng)
     return StructuredEvolution(eigvecs=w, levels=levels)
 
-
-def level_transform_f(levels, t: float) -> complex | np.ndarray:
-    """Normalized Fourier transform of the level density, (1/d) sum exp(-i E_j t).
-
-    Equals 1 at t = 0 and is bounded by 1 in modulus. A stack of spectra,
-    shape (n, d), gives an array of the n values.
-    """
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim not in (1, 2) or levels.size == 0:
-        raise ValueError("levels must be a nonempty 1-d array or an (n, d) stack")
-    return np.mean(np.exp(-1j * float(t) * levels), axis=-1)

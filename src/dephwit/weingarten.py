@@ -22,8 +22,8 @@ a' = (i,k'), b' = (i',k'). So the rows of W are (a, e, c', b') and those
 of conj(W) are (c, b, a', e'): r depends on M alone. The columns carry
 L_p, conj(L_q), conj(L_p'), L_q', so c(tau) is a product over the cycles
 of tau of power sums sum_p exp(-ikE_p t), k in -2..2: a polynomial in
-d f(t) and d f(2t), with f the normalized transform of
-:func:`dephwit.randmat.level_transform_f`. The 24 columns take only 8
+d f(t) and d f(2t), with f(t) = (1/d) sum_j exp(-i E_j t) the normalized
+Fourier transform of the level density. The 24 columns take only 8
 distinct monomials, so the weights (Wg r)(tau) are summed once into 8
 grouped weights kappa (:func:`monomial_weights`).
 """

@@ -72,19 +72,6 @@ class McEstimate:
             return 0.0, math.sqrt(max(self.std_error, 0.0))
         return root, self.std_error / (2.0 * root)
 
-    def z_score(self, reference: float) -> float:
-        """Deviation of the mean from ``reference`` in standard errors.
-
-        When the samples carry no noise, ``std_error`` sits at the rounding
-        scale, and a closed form carries its own rounding:
-        ``theorem_rhs(np.eye(6), 2, 3)`` gives 17.999999999999996. There z
-        measures rounding rather than sampling; on that operator it comes
-        out near 24 at 2,000 samples.
-        """
-        if self.std_error == 0.0:
-            return 0.0 if self.mean == reference else math.inf
-        return (self.mean - reference) / self.std_error
-
 
 @dataclass(frozen=True)
 class TwirlConstants:
@@ -300,11 +287,6 @@ def haar_witness_prefactor_sq(d_s: int, d_e: int) -> float:
     if d_s * d_e < 2:
         raise ValueError("total dimension must be at least 2")
     return (d_s**2 * d_e - d_e) / (d_s**2 * d_e**2 - 1)
-
-
-def pure_state_rms_prefactor(d_s: int, d_e: int) -> float:
-    """RMS witness per unit concurrence for pure states (discord = C / sqrt 2)."""
-    return math.sqrt(haar_witness_prefactor_sq(d_s, d_e) / 2.0)
 
 
 def theorem_rhs(m, d_s: int, d_e: int) -> float:
@@ -634,15 +616,6 @@ def choi_isotropic_check(
     )
     residual = float(hs_norm(mean - analytic))
     return ChoiCheckResult(residual, mc_error, consts, n_samples)
-
-
-def trace_distance(a, b) -> float:
-    """Half the sum of absolute eigenvalues of the Hermitian difference."""
-    a = require_hermitian(a, "a")
-    b = require_hermitian(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _half_trace_norm(a - b)
 
 
 def _half_trace_norm(x: np.ndarray) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dephwit import __version__, cli
-from dephwit.dephasing import dephase_total, discord_delta, eigenbasis_of_marginal, is_classical
+from dephwit.dephasing import CLASSICALITY_TOL, dephase_total, discord_delta, eigenbasis_of_marginal
 from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre, structured_evolution
 from dephwit.states import classical_state, from_pure, purity, random_mixed
 from dephwit.witness import (
@@ -201,7 +201,7 @@ def _discord_direct(state):
         "delta_sq": delta**2,
         "purity": purity(state),
         "purity_dephased": purity(deph),
-        "classical": int(is_classical(state)),
+        "classical": int(delta <= CLASSICALITY_TOL),
         "degenerate_marginal": int(basis.degenerate),
     }
 

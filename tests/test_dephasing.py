@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephwit.dephasing import (
+    CLASSICALITY_TOL,
     DephasingBasis,
-    dephase_local,
     dephase_total,
     discord_delta,
     eigenbasis_of_marginal,
-    is_classical,
 )
 from dephwit.linalg import hs_norm
 from dephwit.randmat import RngHandle, haar_unitary
 from dephwit.states import BipartiteState, classical_state, from_pure, purity, random_mixed
-from helpers import discord_oracle, geometric_discord_qubit_np, np_rng, random_density_np
+from helpers import discord_oracle, geometric_discord_qubit_np, haar_np, np_rng, random_density_np
 
 SQRT8 = np.array([np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)], dtype=complex)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 # separable but discordant: an even mixture of |0><0| x |0><0| and |+><+| x |1><1|
 _KET0 = np.array([1, 0], complex)
@@ -42,7 +40,6 @@ def test_eigenbasis_orders_by_ascending_eigenvalue():
     s = BipartiteState(2, 2, np.diag([0.49, 0.21, 0.21, 0.09]).astype(complex))
     # marginal is diag(0.7, 0.3); ascending order puts the 0.3 eigenvector first
     basis = eigenbasis_of_marginal(s)
-    np.testing.assert_allclose(basis.source_eigenvalues, [0.3, 0.7], atol=1e-12)
     v = basis.vectors
     np.testing.assert_allclose(np.outer(v[:, 0], v[:, 0].conj()), np.diag([0.0, 1.0]), atol=1e-10)
     np.testing.assert_allclose(np.outer(v[:, 1], v[:, 1].conj()), np.diag([1.0, 0.0]), atol=1e-10)
@@ -60,47 +57,19 @@ def test_eigenbasis_of_nondiagonal_marginal():
     np.testing.assert_allclose(s.marginal_system(), [[0.75, 0.25], [0.25, 0.25]], atol=1e-12)
     basis = eigenbasis_of_marginal(s)
     expected = np.array([(1 - np.sqrt(0.5)) / 2, (1 + np.sqrt(0.5)) / 2])
-    np.testing.assert_allclose(basis.source_eigenvalues, expected, atol=1e-12)
     rho_s = s.marginal_system()
-    for lam, vec in zip(basis.source_eigenvalues, basis.vectors.T):
+    for lam, vec in zip(expected, basis.vectors.T):
         assert np.linalg.norm(rho_s @ vec - lam * vec) <= 1e-10
 
 
 def test_basis_invariants_enforced():
     good = eigenbasis_of_marginal(from_pure(SQRT8, 2, 2))
     with pytest.raises(ValueError):
-        DephasingBasis(good.vectors * 0.5, good.source_eigenvalues, False)
+        DephasingBasis(good.vectors * 0.5, False)
 
 
 # ---------------------------------------------------------------------------
 # dephasing maps
-
-
-def test_dephase_local_fixes_diagonal_operators():
-    s = from_pure(SQRT8, 2, 2)
-    basis = eigenbasis_of_marginal(s)
-    a = np.diag([0.3, 0.7]).astype(complex)
-    np.testing.assert_allclose(dephase_local(a, basis), a, atol=1e-12)
-
-
-def test_dephase_local_kills_coherences():
-    s = BipartiteState(2, 2, np.diag([0.49, 0.21, 0.21, 0.09]).astype(complex))
-    basis = eigenbasis_of_marginal(s)
-    np.testing.assert_allclose(dephase_local(SIGMA_X, basis), np.zeros((2, 2)), atol=1e-12)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_dephase_local_idempotent_and_trace_preserving(seed):
-    rng = np_rng(seed)
-    rho = random_density_np(rng, 6)
-    s = BipartiteState(2, 3, rho)
-    basis = eigenbasis_of_marginal(s)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    once = dephase_local(a, basis)
-    twice = dephase_local(once, basis)
-    np.testing.assert_allclose(twice, once, atol=1e-11)
-    assert np.trace(once) == pytest.approx(np.trace(a), abs=1e-11)
 
 
 def test_dephase_total_fixes_classical_states():
@@ -108,6 +77,39 @@ def test_dephase_total_fixes_classical_states():
     s = classical_state(p)
     deph = dephase_total(s)
     assert hs_norm(deph.rho - s.rho) <= 1e-10
+
+
+def test_dephase_total_keeps_environment_coherences():
+    # Phi acts on the system side only: diag(0.3, 0.7) x rho_E is a fixed point
+    rho_e = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    s = BipartiteState(2, 2, np.kron(np.diag([0.3, 0.7]), rho_e))
+    np.testing.assert_allclose(dephase_total(s).rho, s.rho, atol=1e-12)
+
+
+def test_dephase_total_kills_system_coherences_in_the_given_basis():
+    # |+><+| x rho_E dephased in the computational basis is I/2 x rho_E
+    basis = DephasingBasis(np.eye(2, dtype=complex), False)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    rho_e = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    s = BipartiteState(2, 2, np.kron(plus, rho_e))
+    np.testing.assert_allclose(dephase_total(s, basis).rho, np.kron(np.eye(2) / 2, rho_e), atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dephase_total_idempotent_and_block_diagonal_in_any_basis(seed):
+    rng = np_rng(seed)
+    s = BipartiteState(2, 3, random_density_np(rng, 6))
+    v = haar_np(rng, 2)
+    basis = DephasingBasis(v, False)
+    once = dephase_total(s, basis)
+    twice = dephase_total(once, basis)
+    np.testing.assert_allclose(twice.rho, once.rho, atol=1e-12)
+    assert np.trace(once.rho).real == pytest.approx(1.0, abs=1e-12)
+    # the blocks <v_0| rho' |v_1> between different basis vectors vanish
+    r = once.rho.reshape(2, 3, 2, 3)
+    cross = np.einsum("a,akbl,b->kl", v[:, 0].conj(), r, v[:, 1])
+    assert np.abs(cross).max() <= 1e-12
 
 
 def test_dephase_total_projects_onto_schmidt_basis():
@@ -123,7 +125,8 @@ def test_dephase_total_marginals_and_purity(seed):
     s = BipartiteState(2, 3, random_density_np(rng, 6))
     deph = dephase_total(s)
     np.testing.assert_allclose(deph.marginal_system(), s.marginal_system(), atol=1e-10)
-    np.testing.assert_allclose(deph.marginal_env(), s.marginal_env(), atol=1e-10)
+    env = lambda rho: np.einsum("kikj->ij", rho.reshape(2, 3, 2, 3))
+    np.testing.assert_allclose(env(deph.rho), env(s.rho), atol=1e-10)
     assert purity(deph) <= purity(s) + 1e-12
     again = dephase_total(deph, eigenbasis_of_marginal(s))
     assert hs_norm(again.rho - deph.rho) <= 1e-10
@@ -135,7 +138,7 @@ def test_dephase_total_ignores_the_order_and_phases_of_the_basis_columns():
     basis = eigenbasis_of_marginal(state)
     perm = [2, 0, 1]
     phases = np.exp(1j * np.array([0.3, -2.0, 2.9]))
-    shuffled = DephasingBasis(basis.vectors[:, perm] * phases, basis.source_eigenvalues[perm], False)
+    shuffled = DephasingBasis(basis.vectors[:, perm] * phases, False)
     np.testing.assert_allclose(
         dephase_total(state, shuffled).rho, dephase_total(state, basis).rho, rtol=0, atol=1e-14
     )
@@ -247,18 +250,11 @@ def test_discord_zero_for_eigenprojector_mixtures():
 
 
 # ---------------------------------------------------------------------------
-# classicality predicate
+# classicality
 
 
-def test_is_classical_reference_cases():
-    assert is_classical(classical_state(np.array([[0.6, 0.1], [0.1, 0.2]])))
-    assert not is_classical(from_pure(BELL, 2, 2))
+def test_classicality_reference_cases():
+    assert discord_delta(classical_state(np.array([[0.6, 0.1], [0.1, 0.2]]))) <= CLASSICALITY_TOL
     assert discord_delta(from_pure(BELL, 2, 2)) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     maximally_mixed = BipartiteState(2, 2, np.eye(4, dtype=complex) / 4)
-    assert is_classical(maximally_mixed)
-
-
-def test_is_classical_respects_tolerance():
-    s = from_pure(SQRT8, 2, 2)
-    assert not is_classical(s)
-    assert is_classical(s, tol=1.0)
+    assert discord_delta(maximally_mixed) <= CLASSICALITY_TOL

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dephwit.linalg import dagger, hs_norm
 from dephwit.randmat import (
@@ -13,7 +11,6 @@ from dephwit.randmat import (
     StructuredEvolution,
     ginibre,
     haar_unitary,
-    level_transform_f,
     sample_spectrum,
     structured_evolution,
 )
@@ -268,8 +265,8 @@ def test_gue_form_factors_match_the_dense_oracle(d):
     ours = sample_spectrum(SpectrumEnsemble("gue", d), RngHandle(57).derive(d), size=n)
     dense = gue_levels_np(np_rng(57 + d), d, n)
     for t in (0.5, 1.0, 1.5, 3.0):
-        a = np.abs(level_transform_f(ours, t)) ** 2
-        b = np.abs(level_transform_f(dense, t)) ** 2
+        a = np.abs(np.exp(-1j * t * ours).mean(axis=-1)) ** 2
+        b = np.abs(np.exp(-1j * t * dense).mean(axis=-1)) ** 2
         z = (a.mean() - b.mean()) / math.hypot(a.std(ddof=1), b.std(ddof=1)) * math.sqrt(n)
         assert abs(z) <= 4.0
 
@@ -356,32 +353,17 @@ def test_structured_evolution_validates_inputs():
         StructuredEvolution(eigvecs=np.eye(3), levels=np.zeros(2))
 
 
-# ---------------------------------------------------------------------------
-# level density transform
-
-
-def test_level_transform_reference_values():
-    f0 = level_transform_f([0.3, 1.7, 2.9], 0.0)
-    assert f0.real == 1.0 and f0.imag == 0.0
-    assert abs(level_transform_f([0.0, np.pi], 1.0)) <= 1e-15
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SpectrumEnsemble("poisson", 4, mean_spacing=np.inf), "mean_spacing must be positive and finite"),
+        (lambda: SpectrumEnsemble("gue", 4, mean_spacing=np.nan), "mean_spacing must be positive and finite"),
+        (lambda: SpectrumEnsemble("explicit", 2, explicit_levels=[0, np.nan]), "explicit_levels must be finite"),
+        (lambda: StructuredEvolution(np.eye(2), [0, np.inf]), "levels must be finite"),
+    ],
+    ids=["poisson-inf-spacing", "gue-nan-spacing", "explicit-nan-level", "evolution-inf-level"],
 )
-def test_level_transform_bounded(seed, t):
-    levels = np.random.default_rng(seed).normal(size=8)
-    assert abs(level_transform_f(levels, t)) <= 1.0 + 1e-12
-
-
-def test_level_transform_of_a_stack_is_the_row_by_row_transform():
-    stack = np.random.default_rng(7).normal(size=(5, 6))
-    values = level_transform_f(stack, 1.3)
-    assert isinstance(level_transform_f(stack[0], 1.3), complex)
-    assert values.shape == (5,)
-    assert values.tolist() == [level_transform_f(row, 1.3) for row in stack]
-    for bad in (np.zeros(0), np.zeros((3, 0)), np.zeros((2, 2, 2)), 1.0):
-        with pytest.raises(ValueError):
-            level_transform_f(bad, 1.0)
+def test_non_finite_spacings_and_levels_are_rejected(build, message):
+    # accepted, they made every structured-average row NaN
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -1,30 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dephwit.linalg import hs_norm
 from dephwit.randmat import RngHandle, haar_unitary
 from dephwit.states import (
     BipartiteState,
     classical_state,
-    concurrence_pure,
     from_pure,
     purity,
     random_mixed,
-    random_pure,
-    schmidt,
 )
 from helpers import np_rng
 
 SQRT8 = np.array([np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)], dtype=complex)
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
-
-
-def _random_pure_np(seed, d):
-    rng = np_rng(seed)
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return psi / np.linalg.norm(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +35,32 @@ def test_from_pure_partially_entangled_marginal():
     np.testing.assert_allclose(s.marginal_system(), np.diag([0.8, 0.2]), atol=1e-12)
 
 
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_from_pure_marginal_spectrum_is_the_squared_schmidt_coefficients(d_s, d_e):
+    # the Schmidt coefficients are the singular values of the amplitude matrix
+    rng = np_rng(17 + 3 * d_s + d_e)
+    for _ in range(5):
+        psi = rng.normal(size=d_s * d_e) + 1j * rng.normal(size=d_s * d_e)
+        psi /= np.linalg.norm(psi)
+        coefficients = np.linalg.svd(psi.reshape(d_s, d_e), compute_uv=False)
+        # a system larger than the environment adds d_s - d_e zero eigenvalues
+        expected = np.sort(np.concatenate([coefficients**2, np.zeros(d_s - coefficients.size)]))
+        s = from_pure(psi, d_s, d_e)
+        marginal = np.linalg.eigvalsh(s.marginal_system())
+        np.testing.assert_allclose(marginal, expected, rtol=0, atol=1e-12)
+        assert purity(s) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_from_pure_rejects_unnormalized():
     with pytest.raises(ValueError):
         from_pure([1.0, 1.0, 0.0, 0.0], 2, 2)
+
+
+def test_nan_inputs_fail_with_their_own_message():
+    with pytest.raises(ValueError, match=r"state vector is not normalized \(norm nan\)"):
+        from_pure([np.nan, 0, 0, 1], 2, 2)
+    with pytest.raises(ValueError, match="probability table sums to nan, expected 1"):
+        classical_state(np.array([[0.5, np.nan], [0.25, 0.25]]))
 
 
 def test_state_invariants_rejected():
@@ -65,41 +76,7 @@ def test_state_invariants_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Schmidt decomposition
-
-
-def test_schmidt_product_state():
-    sd = schmidt([0, 1, 0, 0], 2, 2)
-    assert sd.rank == 1
-    np.testing.assert_allclose(sd.coefficients, [1.0], atol=1e-12)
-
-
-def test_schmidt_bell_coefficients():
-    sd = schmidt(BELL, 2, 2)
-    np.testing.assert_allclose(sd.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-10)
-
-
-def test_schmidt_partially_entangled():
-    sd = schmidt(SQRT8, 2, 2)
-    np.testing.assert_allclose(sd.coefficients, [np.sqrt(0.8), np.sqrt(0.2)], atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
-def test_schmidt_reconstruction_and_orthonormality(seed, dims):
-    d_s, d_e = dims
-    psi = _random_pure_np(seed, d_s * d_e)
-    sd = schmidt(psi, d_s, d_e)
-    assert np.linalg.norm(sd.reconstruct() - psi) <= 1e-10
-    assert np.sum(sd.coefficients**2) == pytest.approx(1.0, abs=1e-10)
-    assert np.all(np.diff(sd.coefficients) <= 1e-12)
-    for vecs in (sd.system_vectors, sd.environment_vectors):
-        gram = vecs.conj().T @ vecs
-        assert np.abs(gram - np.eye(sd.rank)).max() <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# purity and concurrence
+# purity
 
 
 def test_purity_reference_values():
@@ -118,12 +95,6 @@ def test_purity_matches_matrix_product():
         rho /= np.trace(rho).real
         s = BipartiteState(2, 3, rho)
         assert purity(s) == pytest.approx(np.trace(rho @ rho).real, abs=1e-12)
-
-
-def test_concurrence_reference_values():
-    assert concurrence_pure([0, 1, 0, 0], 2, 2) == 0.0
-    assert concurrence_pure(BELL, 2, 2) == pytest.approx(1.0, abs=1e-10)
-    assert concurrence_pure(SQRT8, 2, 2) == pytest.approx(0.8, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +188,7 @@ def test_random_mixed_invariants_and_mean_purity():
     assert np.all(purities >= 0.25 - 1e-12)
 
 
-def test_random_pure_is_normalized_haar_vector():
-    psi = random_pure(2, 3, RngHandle(13))
-    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-    assert psi.shape == (6,)
-
-
 def test_random_generators_reproducible():
     a = random_mixed(2, 3, 4, RngHandle(99))
     b = random_mixed(2, 3, 4, RngHandle(99))
     assert np.array_equal(a.rho, b.rho)
-    assert np.array_equal(random_pure(2, 2, RngHandle(5)), random_pure(2, 2, RngHandle(5)))
