@@ -11,6 +11,11 @@ Wall-clock timing goes to stderr only.
 A ``structured-average`` run with a fixed spectrum (quenched, or the
 explicit ensemble) has exact rows and draws nothing; its ``n_samples``
 is still required but unused, and the stderr line says so.
+``lemma-check`` and ``choi-check`` sample only the traceless parts of
+their operators A and B and add the identity parts exactly. The identity
+parts therefore add no noise, and the error bars fall further below
+those of sampling A and B whole the larger the trace weights Tr(A)/d
+and Tr(B)/d are.
 
 The Monte Carlo commands run on ``DEPHWIT_WORKERS`` threads, one when
 the variable is unset. It has no upper limit, but a run starts at most

@@ -494,13 +494,19 @@ def twirl_constants(a_op, b_op) -> TwirlConstants:
     return TwirlConstants(a, b)
 
 
+def _traceless(op: np.ndarray) -> tuple[np.ndarray, complex]:
+    """The traceless part op - w 1 of a square operator and its trace weight w = Tr(op) / d."""
+    d = op.shape[0]
+    weight = complex(np.trace(op)) / d
+    return op - weight * np.eye(d), weight
+
+
 def _conjugate_pair(u: np.ndarray, a_op: np.ndarray, b_op: np.ndarray):
     """U^dagger A U and U^dagger B U for a stack of n unitaries, and a spare
     buffer of their shape: three (n, d, d) arrays in all.
 
-    W = U^dagger is made C-contiguous once, so each product by a fixed
-    operator is one (n d, d) @ (d, d) GEMM; the product with U stays a
-    stacked matmul, and U^dagger B U overwrites W.
+    W = U^dagger is made C-contiguous once, so that each product by a fixed
+    operator is one (n d, d) @ (d, d) GEMM.
     """
     n, d, _ = u.shape
     w = np.conjugate(np.swapaxes(u, 1, 2), order="C")
@@ -523,8 +529,15 @@ def twirl_mc(
     """Monte Carlo estimate of the twirled channel applied to X.
 
     Converges entrywise to a Tr(X) I + b X with the analytic constants.
-    With ``return_stderr`` the entrywise standard-error matrix is
-    returned alongside the mean.
+    With A = A_0 + alpha I and B = B_0 + beta I, alpha = Tr(A)/d and
+    beta = Tr(B)/d, only U^dagger A_0 U X U^dagger B_0 U is sampled and
+    alpha beta X is added to the mean. The dropped cross terms have mean
+    exactly zero, since E_U[U^dagger A_0 U] = (Tr(A_0)/d) I = 0, so the
+    estimate stays unbiased, and the identity parts of A and B add no
+    noise. With ``return_stderr`` the entrywise standard-error matrix of
+    the samples drawn is returned alongside the mean. The error of a
+    complex entry combines the spread of its real and imaginary parts, so
+    the real part of an entry's z-score has variance near 1/2, not 1.
     """
     a_op = as_square(a_op, "a_op")
     b_op = as_square(b_op, "b_op")
@@ -532,13 +545,16 @@ def twirl_mc(
     d = a_op.shape[0]
     if b_op.shape[0] != d or x.shape[0] != d:
         raise ValueError("operator dimensions differ")
+    a_0, alpha = _traceless(a_op)
+    b_0, beta = _traceless(b_op)
 
     def sample_fn(handle: RngHandle, count: int) -> np.ndarray:
-        left, right, tmp = _conjugate_pair(haar_unitary(d, handle, size=count), a_op, b_op)
+        left, right, tmp = _conjugate_pair(haar_unitary(d, handle, size=count), a_0, b_0)
         np.matmul(left.reshape(-1, d), x, out=tmp.reshape(-1, d))
         return np.matmul(tmp, right, out=left)
 
     mean, stderr = _mc_moments(sample_fn, n_samples, rng, workers)
+    mean += alpha * beta * x
     return (mean, stderr) if return_stderr else mean
 
 
@@ -553,29 +569,33 @@ def _choi_moments(a_op: np.ndarray, b_op: np.ndarray, n_samples: int, rng: RngHa
     """Mean and aggregate standard error of the sampled Choi matrix.
 
     The channel output on |w><w'| is (column w of U^dagger A U) times (row
-    w' of U^dagger B U), so each sample's Choi matrix is the rank-one outer
-    product of L = vec(U^dagger (A/d) U) and vec((U^dagger B U)^T). A chunk
-    uses R = vec(U^dagger B U), whose columns are those of the transpose
-    permuted; the merged mean's columns are permuted back once. With chunk
-    means a, b and centered factors l = L - a, r = R - b (in place), the
-    chunk mean is a b^T + c, c = l^T r / n, its one complex GEMM. Only the
-    sum of M2 over all entries is kept: with alpha = l conj(a) and
-    beta = r conj(b), per-sample vectors,
+    w' of U^dagger B U), so each sample's Choi matrix is, up to a fixed
+    permutation of its columns, the rank-one outer product of
+    L = vec(U^dagger (A_0/d) U) and R = vec(U^dagger B_0 U). As in
+    :func:`twirl_mc`, A_0 and B_0 are the traceless parts of A and B; the
+    dropped cross terms have mean zero, and the identity parts add
+    alpha beta |Omega><Omega|, the identity channel's Choi matrix, to the
+    mean. With chunk means a, b and centred factors l = L - a, r = R - b,
+    the chunk mean is a b^T + c, c = l^T r / n. As the centred factors sum
+    to zero, the sum of M2 over all entries is, with alpha_n = l_n conj(a)
+    and beta_n = r_n conj(b),
 
         sum M2 = |a|^2 sum_n |r_n|^2 + |b|^2 sum_n |l_n|^2
                  + sum_n |l_n|^2 |r_n|^2 - n |c|^2
                  + 2 Re sum_n (conj(alpha_n) beta_n + conj(alpha_n) |r_n|^2
                                + conj(beta_n) |l_n|^2),
 
-    as the centered factors sum to zero, which is O(n d^2) vector work.
-    Returns the mean and sqrt(sum M2 / (n (n - 1))), the root sum of the
-    squared entrywise standard errors.
+    O(n d^2) vector work with no (n, d^2, d^2) array. Returns the mean and
+    sqrt(sum M2 / (n (n - 1))), the root sum of the squared entrywise
+    standard errors.
     """
     d = a_op.shape[0]
-    a_scaled = a_op / d
+    a_0, alpha = _traceless(a_op)
+    b_0, beta = _traceless(b_op)
+    a_0 /= d
 
     def chunk_fn(handle: RngHandle, count: int):
-        left, right, _ = _conjugate_pair(haar_unitary(d, handle, size=count), a_scaled, b_op)
+        left, right, _ = _conjugate_pair(haar_unitary(d, handle, size=count), a_0, b_0)
         l, r = left.reshape(count, -1), right.reshape(count, -1)
         a, b = l.mean(axis=0), r.mean(axis=0)
         l -= a
@@ -583,14 +603,16 @@ def _choi_moments(a_op: np.ndarray, b_op: np.ndarray, n_samples: int, rng: RngHa
         c = l.T @ r
         c /= count
         l_sq, r_sq = _row_norms_sq(l), _row_norms_sq(r)
-        alpha, beta = l @ a.conj(), r @ b.conj()
-        cross = np.vdot(alpha, beta).real + alpha.real @ r_sq + beta.real @ l_sq
+        alpha_n, beta_n = l @ a.conj(), r @ b.conj()
+        cross = np.vdot(alpha_n, beta_n).real + alpha_n.real @ r_sq + beta_n.real @ l_sq
         m2 = np.vdot(a, a).real * r_sq.sum() + np.vdot(b, b).real * l_sq.sum() + l_sq @ r_sq
         m2 += 2.0 * cross - count * np.vdot(c, c).real
         return count, np.outer(a, b) + c, m2
 
     mean, std_error = _mc_chunks(chunk_fn, n_samples, rng, workers)
     mean = mean.reshape(d * d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
+    omega = maximally_entangled_ket(d)
+    mean += alpha * beta * np.outer(omega, omega.conj())
     return mean, float(std_error)
 
 
@@ -599,10 +621,13 @@ def choi_isotropic_check(
 ) -> ChoiCheckResult:
     """Residual of the sampled Choi matrix against its isotropic form.
 
-    The twirled channel is estimated on the full operator basis
-    |w><w'| (one shared unitary stream), assembled into the Choi matrix,
-    and compared with a I / d + b |Omega><Omega|. The aggregate Monte
-    Carlo error is the root sum of squared entrywise standard errors.
+    The twirled channel is estimated on the full operator basis |w><w'|
+    from one shared unitary stream and compared with
+    a I / d + b |Omega><Omega|. Only the traceless parts of A and B are
+    sampled (see :func:`_choi_moments`), so the estimate is unbiased and
+    its error does not grow with the trace weights of A and B. The
+    aggregate Monte Carlo error is the root sum of the squared entrywise
+    standard errors.
     """
     a_op = as_square(a_op, "a_op")
     b_op = as_square(b_op, "b_op")

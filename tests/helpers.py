@@ -6,6 +6,7 @@ the two routes stay independent.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -161,3 +162,67 @@ def witness_columns_np(levels, t: float) -> np.ndarray:
             value *= np.exp(-1j * k * t * levels).sum()
         out.append(value)
     return np.array(out)
+
+
+def _cycle_count(p) -> int:
+    seen, count = set(), 0
+    for start in range(len(p)):
+        count += start not in seen
+        k = start
+        while k not in seen:
+            seen.add(k)
+            k = p[k]
+    return count
+
+
+def weingarten_exact(n: int, d: int) -> list[list[Fraction]]:
+    """Wg(sigma, tau) over S_n in exact rationals, for d >= n.
+
+    The inverse of the Gram matrix d^#cycles(sigma^-1 tau), by Gauss-Jordan
+    elimination in ``Fraction``; permutations in the order of
+    ``itertools.permutations(range(n))``, the identity first.
+    """
+    perms = list(itertools.permutations(range(n)))
+    size = len(perms)
+    rows = [
+        [Fraction(d) ** _cycle_count([sigma.index(t) for t in tau]) for tau in perms]
+        + [Fraction(int(i == j)) for j in range(size)]
+        for i, sigma in enumerate(perms)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
+
+
+def twirl_constants_exact(a_op, b_op) -> tuple[Fraction, Fraction]:
+    """(a, b) of E_U[U^dagger A U X U^dagger B U] = a Tr(X) 1 + b X for integer
+    matrices, from the exact degree-2 Weingarten sum.
+
+    The rows are Tr(A) Tr(B) (sigma = id) and Tr(AB) (sigma = swap); tau = swap
+    gives Tr(X) 1 and tau = id gives X.
+    """
+    d = len(a_op)
+    wg = weingarten_exact(2, d)
+    rows = (
+        Fraction(sum(a_op[i][i] for i in range(d)) * sum(b_op[i][i] for i in range(d))),
+        Fraction(sum(a_op[i][j] * b_op[j][i] for i in range(d) for j in range(d))),
+    )
+    return rows[0] * wg[0][1] + rows[1] * wg[1][1], rows[0] * wg[0][0] + rows[1] * wg[1][0]
+
+
+def haar_witness_coefficients_exact(d_s: int, d_e: int) -> tuple[Fraction, Fraction]:
+    """Coefficients of ||M||^2 and of Tr(M)^2 in E_U ||Tr_E(U M U^dagger)||^2.
+
+    The degree-2 Weingarten sum: sigma = swap pairs with ||M||^2 and sigma = id
+    with Tr(M)^2; tau contracts with the partial swap on the system, giving
+    d_s d_e^2 for tau = id and d_s^2 d_e for tau = swap.
+    """
+    wg = weingarten_exact(2, d_s * d_e)
+    cols = (d_s * d_e**2, d_s**2 * d_e)
+    return wg[1][0] * cols[0] + wg[1][1] * cols[1], wg[0][0] * cols[0] + wg[0][1] * cols[1]

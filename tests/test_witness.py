@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,11 +52,14 @@ from helpers import (
     gue_levels_np,
     haar_batch_np,
     haar_np,
+    haar_witness_coefficients_exact,
     hs_norm_np,
     np_rng,
     ptrace_env_loops,
     random_hermitian_np,
     structured_samples_np,
+    twirl_constants_exact,
+    weingarten_exact,
     witness_columns_np,
 )
 
@@ -476,6 +480,45 @@ def test_degree_two_weingarten_reproduces_twirl_constants(d):
     assert _rel(rows @ wg[:, 0], consts.b) <= 1e-12
 
 
+def _ulps(x, exact):
+    # distance of a float from an exact rational, in units of the rounded value's last place
+    return abs(x - float(exact)) / math.ulp(float(exact))
+
+
+def test_degree_two_weingarten_floats_are_the_rounded_rationals():
+    for d in (2, 3, 4, 5, 8, 64, 256, 4096):
+        exact = weingarten_exact(2, d)
+        # Collins & Sniady: Wg(id) = 1 / (d^2 - 1), Wg(swap) = -1 / (d (d^2 - 1))
+        assert exact[0] == [Fraction(1, d**2 - 1), Fraction(-1, d * (d**2 - 1))]
+        assert exact[1] == exact[0][::-1]
+        wg = weingarten_matrix(2, d)
+        assert all(_ulps(wg[i, j], exact[i][j]) <= 2 for i in range(2) for j in range(2))
+
+
+def test_haar_witness_prefactors_are_the_rounded_exact_sums():
+    grid = (1, 2, 3, 4, 5, 7, 8, 16, 31, 64)
+    for d_s, d_e in itertools.product(grid, repeat=2):
+        if d_s * d_e < 2:
+            continue
+        norm_coefficient, trace_coefficient = haar_witness_coefficients_exact(d_s, d_e)
+        assert norm_coefficient == Fraction(d_s**2 * d_e - d_e, d_s**2 * d_e**2 - 1)
+        assert _ulps(haar_witness_prefactor_sq(d_s, d_e), norm_coefficient) <= 2
+        # theorem_rhs weighs Tr(M)^2 with the prefactor of the swapped dimensions
+        assert _ulps(haar_witness_prefactor_sq(d_e, d_s), trace_coefficient) <= 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 9, 64])
+def test_twirl_constants_are_the_rounded_exact_rationals(d):
+    rng = np_rng(930 + d)
+    for _ in range(3):
+        a_op, b_op = (rng.integers(-5, 6, size=(d, d)) for _ in range(2))
+        exact_a, exact_b = twirl_constants_exact(a_op.tolist(), b_op.tolist())
+        consts = twirl_constants(a_op, b_op)
+        assert consts.a.imag == consts.b.imag == 0.0
+        assert _ulps(consts.a.real, exact_a) <= 2
+        assert _ulps(consts.b.real, exact_b) <= 2
+
+
 def _entry_moment_np(d, rows, cols, n, rng):
     u = haar_batch_np(rng, d, n)
     samples = np.prod(np.abs(u[:, rows, cols]) ** 2, axis=-1)
@@ -799,6 +842,59 @@ def test_twirl_unitary_invariance():
     assert hs_norm(lhs - rhs) <= 5.0 * combined
 
 
+@pytest.mark.parametrize("c, c_prime", [(0.7 - 0.3j, -2.5), (1e4, 1e4), (-3.0, 1e4j)])
+def test_identity_parts_of_a_and_b_add_no_noise(c, c_prime):
+    # A + c 1 and B + c' 1 move the twirl's mean by (alpha c' + c beta + c c') X
+    # on the same stream and leave both error bars as they were, up to the
+    # rounding of the shifted operators, even where c = 1e4 makes the
+    # identity parts dominate A and B
+    d = 3
+    n = 2 * MC_CHUNK + 76
+    rng = np_rng(211)
+    a_op, b_op, x = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3))
+    alpha, beta = np.trace(a_op) / d, np.trace(b_op) / d
+    a_shifted, b_shifted = a_op + c * np.eye(d), b_op + c_prime * np.eye(d)
+    eps = np.finfo(float).eps
+    rounding = 16 * eps * max(1.0, abs(c), abs(c_prime))
+
+    mean, std_error = twirl_mc(a_op, b_op, x, n, RngHandle(212), return_stderr=True)
+    shifted_mean, shifted_error = twirl_mc(a_shifted, b_shifted, x, n, RngHandle(212), return_stderr=True)
+    scale = abs(alpha + c) * abs(beta + c_prime) * np.abs(x).max()
+    shift = (alpha * c_prime + c * beta + c * c_prime) * x
+    assert np.abs(shifted_mean - (mean + shift)).max() <= 8 * eps * scale
+    np.testing.assert_allclose(shifted_error, std_error, rtol=rounding)
+
+    base = choi_isotropic_check(a_op, b_op, n, RngHandle(213))
+    shifted = choi_isotropic_check(a_shifted, b_shifted, n, RngHandle(213))
+    assert shifted.mc_error == pytest.approx(base.mc_error, rel=rounding)
+
+
+def _ginibre_np(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def test_twirl_mc_error_bars_are_calibrated_over_seeds():
+    # 200 seeds at d = 3 and n = 64, each with its own Ginibre A, B and X; seed
+    # s reads entry s mod 9, so the z-scores are independent. X is circularly
+    # symmetric, so Re z and Im z share one law and the variance of Re z is
+    # half of E|z|^2: 0.5035 over 10,000 seeds. How that variance splits
+    # between Re z and Im z varies with the draw, which widens the spread of
+    # the statistic beyond chi^2 with 200 degrees of freedom; the window is
+    # that of 0.5 chi^2_nu / nu with nu = 130, matched to the spread of 50
+    # batches of 200 seeds, and its false-alarm rate is 3e-4. An error bar
+    # scaled by 1.5 or by 0.67 moves the statistic to about 0.22 or 1.11.
+    d, n = 3, 64
+    re_z = []
+    for seed in range(200):
+        rng = np_rng(7100 + seed)
+        a_op, b_op, x = _ginibre_np(rng, d), _ginibre_np(rng, d), _ginibre_np(rng, d)
+        consts = twirl_constants(a_op, b_op)
+        mean, std_error = twirl_mc(a_op, b_op, x, n, RngHandle(7101, (seed,)), return_stderr=True)
+        z = (mean - consts.a * np.trace(x) * np.eye(d) - consts.b * x) / std_error
+        re_z.append(z.reshape(-1)[seed % (d * d)].real)
+    assert 0.30 <= float(np.mean(np.square(re_z))) <= 0.75
+
+
 # ---------------------------------------------------------------------------
 # Choi-matrix isotropic form
 
@@ -826,6 +922,22 @@ def test_choi_residual_shrinks_with_samples():
     large = choi_isotropic_check(a_op, b_op, 16_000, RngHandle(175))
     assert large.residual < small.residual
     assert large.mc_error == pytest.approx(small.mc_error / 2.0, rel=0.1)
+
+
+def test_choi_error_bar_is_calibrated_over_seeds():
+    # residual / mc_error over 200 seeds at d = 3 and n = 64, each with its own
+    # Ginibre A and B: over 10,000 seeds it had mean 0.997 and sd 0.069, so
+    # the mean of 200 has sd 0.0049 (0.0055 across 50 batches), and the window
+    # lies more than 4.9 of those sd from 0.997 on each side: a false-alarm
+    # rate below 1e-6 in the normal approximation. An mc_error scaled by 1.5
+    # or by 0.67 moves the mean to about 0.66 or 1.49.
+    d, n = 3, 64
+    ratios = []
+    for seed in range(200):
+        rng = np_rng(7400 + seed)
+        result = choi_isotropic_check(_ginibre_np(rng, d), _ginibre_np(rng, d), n, RngHandle(7401, (seed,)))
+        ratios.append(result.residual / result.mc_error)
+    assert 0.97 <= float(np.mean(ratios)) <= 1.03
 
 
 def test_maximally_entangled_ket():
@@ -911,20 +1023,23 @@ def test_mc_moments_large_offset_complex_matrix():
 
 @pytest.mark.parametrize("d", [3, 9])
 def test_twirl_mc_matches_the_dense_conjugation_kernel(d):
-    # the reference forms each sample as dagger(u) @ a_op @ u, then left @ x @ right
+    # the reference forms each sample from the traceless parts A_0 and B_0 as
+    # dagger(u) @ a_0 @ u, then left @ x @ right, and adds alpha beta X to the mean
     def sample_fn(handle, count):
         u = haar_unitary(d, handle, size=count)
-        left = dagger(u) @ a_op @ u
-        right = dagger(u) @ b_op @ u
+        left = dagger(u) @ a_0 @ u
+        right = dagger(u) @ b_0 @ u
         return left @ x @ right
 
     n = 2 * MC_CHUNK + 76
     rng = np_rng(190 + d)
     a_op, b_op, x = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3))
+    alpha, beta = np.trace(a_op) / d, np.trace(b_op) / d
+    a_0, b_0 = a_op - alpha * np.eye(d), b_op - beta * np.eye(d)
     handle = RngHandle(191)
     mean, std_error = twirl_mc(a_op, b_op, x, n, handle, return_stderr=True)
     samples = _regenerate(sample_fn, n, handle)
-    np.testing.assert_allclose(mean, samples.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(mean, samples.mean(axis=0) + alpha * beta * x, rtol=1e-12)
     var = samples.real.var(axis=0, ddof=1) + samples.imag.var(axis=0, ddof=1)
     np.testing.assert_allclose(std_error, np.sqrt(var / n), rtol=1e-12)
 
@@ -1147,16 +1262,21 @@ def test_an_interrupt_on_the_caller_stops_the_pool(monkeypatch):
 
 
 def _materialized_choi(a_op, b_op):
-    # the dense per-sample Choi matrices, (count, d^2, d^2), as a reference
+    # the dense per-sample Choi matrices of the traceless parts A_0 and B_0,
+    # (count, d^2, d^2), as a reference, and the constant alpha beta
+    # |Omega><Omega| that the identity parts add to the mean
     d = a_op.shape[0]
+    alpha, beta = np.trace(a_op) / d, np.trace(b_op) / d
+    a_0, b_0 = a_op - alpha * np.eye(d), b_op - beta * np.eye(d)
 
     def sample_fn(handle, count):
         u = haar_unitary(d, handle, size=count)
-        left = dagger(u) @ a_op @ u
-        right = dagger(u) @ b_op @ u
+        left = dagger(u) @ a_0 @ u
+        right = dagger(u) @ b_0 @ u
         return np.einsum("nio,npj->niojp", left, right).reshape(count, d * d, d * d) / d
 
-    return sample_fn
+    omega = maximally_entangled_ket(d)
+    return sample_fn, alpha * beta * np.outer(omega, omega.conj())
 
 
 @pytest.mark.parametrize("case", ["random", "identity", "large_offset"])
@@ -1175,11 +1295,12 @@ def test_choi_factored_moments_match_materialized_two_pass(case):
     handle = RngHandle(188)
     mean, _ = _choi_moments(a_op, b_op, n, handle, workers=1)
     mc_error = choi_isotropic_check(a_op, b_op, n, handle).mc_error
-    samples = _regenerate(_materialized_choi(a_op, b_op), n, handle)
-    expected_mean = samples.mean(axis=0)
+    sample_fn, constant = _materialized_choi(a_op, b_op)
+    samples = _regenerate(sample_fn, n, handle)
+    expected_mean = samples.mean(axis=0) + constant
     assert np.linalg.norm(mean - expected_mean) <= 1e-12 * np.linalg.norm(expected_mean)
     if case == "identity":
-        assert mc_error <= 1e-14  # every sample is |Omega><Omega| up to rounding
+        assert mc_error <= 1e-14  # the traceless parts are zero, and so is every sample
     else:
         expected = math.sqrt(float(samples.var(axis=0, ddof=1).sum()) / n)
         assert mc_error == pytest.approx(expected, rel=1e-10 if case == "random" else 1e-8)
