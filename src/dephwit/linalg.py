@@ -37,16 +37,17 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as one complex square matrix; a stack of matrices is rejected."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a single matrix, not a stack")
     return a
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     a = as_square(a, name)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a single matrix, not a stack")
     # written as not <= so that a NaN entry fails
     if not float(np.abs(a - dagger(a)).max(initial=0.0)) <= _tol(HERMITICITY_TOL, float(hs_norm(a))):
         raise ValueError(f"{name} is not Hermitian within tolerance {HERMITICITY_TOL}")
@@ -55,8 +56,6 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
 
 def require_unitary(u, name: str = "matrix") -> np.ndarray:
     u = as_square(u, name)
-    if u.ndim != 2:
-        raise ValueError(f"{name} must be a single matrix, not a stack")
     if not float(np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max(initial=0.0)) <= UNITARITY_TOL:
         raise ValueError(f"{name} is not unitary within tolerance {UNITARITY_TOL}")
     return u
@@ -67,11 +66,10 @@ def partial_trace_env(x: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
 
     Accepts stacked input (..., d, d) and contracts each slice.
     """
-    x = as_square(x, "x")
-    if x.shape[-1] != d_s * d_e:
-        raise ValueError(
-            f"operator dimension {x.shape[-1]} does not match d_s*d_e = {d_s * d_e}"
-        )
+    x = np.asarray(x, dtype=complex)
+    d = d_s * d_e
+    if x.shape[-2:] != (d, d):
+        raise ValueError(f"operator shape {x.shape} must end in ({d}, {d}) for d_s*d_e = {d}")
     r = x.reshape(x.shape[:-2] + (d_s, d_e, d_s, d_e))
     return np.einsum("...ikjk->...ij", r)
 

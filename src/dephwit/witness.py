@@ -30,6 +30,7 @@ from .linalg import (
     dagger,
     eig_hermitian,
     hs_norm,
+    hs_norm_sq,
     partial_trace_env,
     require_hermitian,
     require_unitary,
@@ -178,12 +179,6 @@ def _run_chunks(worker_fn, n_chunks: int, workers: int) -> list:
 
 def _abs_sq(x: np.ndarray) -> np.ndarray:
     return x.real**2 + x.imag**2
-
-
-def _row_norms_sq(x: np.ndarray) -> np.ndarray:
-    # |x_n|^2 per row of a complex (n, k) array, without a squared copy
-    parts = x.view(np.float64)
-    return np.einsum("nk,nk->n", parts, parts)
 
 
 def _two_pass(samples: np.ndarray):
@@ -471,6 +466,14 @@ def witness_trajectory(
 # twirling channel
 
 
+def _twirl_operands(**ops) -> list[np.ndarray]:
+    """The named operators as single square matrices of one dimension."""
+    mats = [as_square(op, name) for name, op in ops.items()]
+    if len({m.shape[0] for m in mats}) > 1:
+        raise ValueError("operator dimensions differ")
+    return mats
+
+
 def twirl_constants(a_op, b_op) -> TwirlConstants:
     """Analytic coefficients of the Haar-twirled two-sided channel.
 
@@ -478,11 +481,8 @@ def twirl_constants(a_op, b_op) -> TwirlConstants:
     a Tr(X) I + b X with a and b fixed by d, Tr(BA), Tr(A) and Tr(B).
     Satisfies a d + b = Tr(BA) / d; the identity pair gives (0, 1).
     """
-    a_op = as_square(a_op, "a_op")
-    b_op = as_square(b_op, "b_op")
+    a_op, b_op = _twirl_operands(a_op=a_op, b_op=b_op)
     d = a_op.shape[0]
-    if b_op.shape[0] != d:
-        raise ValueError("operator dimensions differ")
     if d < 2:
         raise ValueError("twirl constants are undefined at dimension 1")
     tr_ba = complex(np.trace(b_op @ a_op))
@@ -539,12 +539,8 @@ def twirl_mc(
     complex entry combines the spread of its real and imaginary parts, so
     the real part of an entry's z-score has variance near 1/2, not 1.
     """
-    a_op = as_square(a_op, "a_op")
-    b_op = as_square(b_op, "b_op")
-    x = as_square(x, "x")
+    a_op, b_op, x = _twirl_operands(a_op=a_op, b_op=b_op, x=x)
     d = a_op.shape[0]
-    if b_op.shape[0] != d or x.shape[0] != d:
-        raise ValueError("operator dimensions differ")
     a_0, alpha = _traceless(a_op)
     b_0, beta = _traceless(b_op)
 
@@ -575,39 +571,29 @@ def _choi_moments(a_op: np.ndarray, b_op: np.ndarray, n_samples: int, rng: RngHa
     :func:`twirl_mc`, A_0 and B_0 are the traceless parts of A and B; the
     dropped cross terms have mean zero, and the identity parts add
     alpha beta |Omega><Omega|, the identity channel's Choi matrix, to the
-    mean. With chunk means a, b and centred factors l = L - a, r = R - b,
-    the chunk mean is a b^T + c, c = l^T r / n. As the centred factors sum
-    to zero, the sum of M2 over all entries is, with alpha_n = l_n conj(a)
-    and beta_n = r_n conj(b),
+    mean. A chunk's mean is the one product L^T R / n. Conjugation by U
+    keeps HS norms, so every sample S = L R^T has the same squared norm
+    N = ||A_0/d||^2 ||B_0||^2, and the sum of M2 over all entries is
 
-        sum M2 = |a|^2 sum_n |r_n|^2 + |b|^2 sum_n |l_n|^2
-                 + sum_n |l_n|^2 |r_n|^2 - n |c|^2
-                 + 2 Re sum_n (conj(alpha_n) beta_n + conj(alpha_n) |r_n|^2
-                               + conj(beta_n) |l_n|^2),
+        sum M2 = n (N - ||mean||^2),
 
-    O(n d^2) vector work with no (n, d^2, d^2) array. Returns the mean and
-    sqrt(sum M2 / (n (n - 1))), the root sum of the squared entrywise
-    standard errors.
+    with no (n, d^2, d^2) array. This cannot cancel: the twirl bounds
+    ||E S||^2 by N / (d^2 - 1), at most N / 3, with equality when B_0 is a
+    multiple of A_0^dagger, and a mean of n samples exceeds it by O(N / n).
+    Returns the mean and sqrt(sum M2 / (n (n - 1))), the root sum of the
+    squared entrywise standard errors.
     """
     d = a_op.shape[0]
     a_0, alpha = _traceless(a_op)
     b_0, beta = _traceless(b_op)
     a_0 /= d
+    norm_sq = hs_norm_sq(a_0) * hs_norm_sq(b_0)
 
     def chunk_fn(handle: RngHandle, count: int):
         left, right, _ = _conjugate_pair(haar_unitary(d, handle, size=count), a_0, b_0)
-        l, r = left.reshape(count, -1), right.reshape(count, -1)
-        a, b = l.mean(axis=0), r.mean(axis=0)
-        l -= a
-        r -= b
-        c = l.T @ r
-        c /= count
-        l_sq, r_sq = _row_norms_sq(l), _row_norms_sq(r)
-        alpha_n, beta_n = l @ a.conj(), r @ b.conj()
-        cross = np.vdot(alpha_n, beta_n).real + alpha_n.real @ r_sq + beta_n.real @ l_sq
-        m2 = np.vdot(a, a).real * r_sq.sum() + np.vdot(b, b).real * l_sq.sum() + l_sq @ r_sq
-        m2 += 2.0 * cross - count * np.vdot(c, c).real
-        return count, np.outer(a, b) + c, m2
+        mean = left.reshape(count, -1).T @ right.reshape(count, -1)
+        mean /= count
+        return count, mean, count * (norm_sq - hs_norm_sq(mean))
 
     mean, std_error = _mc_chunks(chunk_fn, n_samples, rng, workers)
     mean = mean.reshape(d * d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
@@ -629,8 +615,7 @@ def choi_isotropic_check(
     aggregate Monte Carlo error is the root sum of the squared entrywise
     standard errors.
     """
-    a_op = as_square(a_op, "a_op")
-    b_op = as_square(b_op, "b_op")
+    a_op, b_op = _twirl_operands(a_op=a_op, b_op=b_op)
     d = a_op.shape[0]
     # undefined dimensions fail before any sampling
     consts = twirl_constants(a_op, b_op)

@@ -1153,8 +1153,10 @@ def test_merge_with_summed_m2_is_the_entrywise_merge_summed():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_choi_identity_pair_has_rounding_scale_finite_error(d, workers):
-    # every sample is |Omega><Omega| up to rounding, so the summed M2 is at
-    # the rounding scale and its cancelling terms must not drive it negative
+    # the traceless parts of the identity are exactly zero, so every sampled
+    # term is zero and the error must come out finite and zero, not NaN from
+    # the root of a negative M2; the rounding-scale traceless parts of
+    # 1 +- 1e-12 h are checked against the two-pass reference below
     eye = np.eye(d, dtype=complex)
     for seed in range(50):
         mc_error = choi_isotropic_check(eye, eye, MC_CHUNK + 76, RngHandle(193, (seed,)), workers).mc_error
@@ -1266,7 +1268,9 @@ def _materialized_choi(a_op, b_op):
     # (count, d^2, d^2), as a reference, and the constant alpha beta
     # |Omega><Omega| that the identity parts add to the mean
     d = a_op.shape[0]
-    alpha, beta = np.trace(a_op) / d, np.trace(b_op) / d
+    # Python's complex division, as in the program: numpy's may differ by an
+    # ulp, which moves the traceless part of 1 +- 1e-12 h by 1e-4 of its size
+    alpha, beta = complex(np.trace(a_op)) / d, complex(np.trace(b_op)) / d
     a_0, b_0 = a_op - alpha * np.eye(d), b_op - beta * np.eye(d)
 
     def sample_fn(handle, count):
@@ -1279,7 +1283,7 @@ def _materialized_choi(a_op, b_op):
     return sample_fn, alpha * beta * np.outer(omega, omega.conj())
 
 
-@pytest.mark.parametrize("case", ["random", "identity", "large_offset"])
+@pytest.mark.parametrize("case", ["random", "identity", "large_offset", "b_equals_a", "rounding_scale"])
 def test_choi_factored_moments_match_materialized_two_pass(case):
     n = 2 * MC_CHUNK + 76
     d = 3
@@ -1289,9 +1293,14 @@ def test_choi_factored_moments_match_materialized_two_pass(case):
         b_op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     elif case == "identity":
         a_op = b_op = np.eye(d, dtype=complex)
+    elif case == "b_equals_a":
+        # B_0 = A_0^dagger attains the twirl's bound ||E S||^2 <= N / (d^2 - 1)
+        a_op = b_op = random_hermitian_np(rng, d)
     else:
         h = random_hermitian_np(rng, d)
-        a_op, b_op = 1e4 * np.eye(d) + h, 1e4 * np.eye(d) - h
+        scale = 1e4 if case == "large_offset" else 1.0
+        shift = 1.0 if case == "large_offset" else 1e-12
+        a_op, b_op = scale * np.eye(d) + shift * h, scale * np.eye(d) - shift * h
     handle = RngHandle(188)
     mean, _ = _choi_moments(a_op, b_op, n, handle, workers=1)
     mc_error = choi_isotropic_check(a_op, b_op, n, handle).mc_error
@@ -1303,7 +1312,33 @@ def test_choi_factored_moments_match_materialized_two_pass(case):
         assert mc_error <= 1e-14  # the traceless parts are zero, and so is every sample
     else:
         expected = math.sqrt(float(samples.var(axis=0, ddof=1).sum()) / n)
-        assert mc_error == pytest.approx(expected, rel=1e-10 if case == "random" else 1e-8)
+        # abs=0: the rounding-scale case's error is about 1e-25
+        assert mc_error == pytest.approx(expected, rel=1e-8 if case == "large_offset" else 1e-10, abs=0)
+
+
+@pytest.mark.parametrize(
+    "a_op, b_op, message",
+    [
+        (np.ones((2, 3, 3)), np.ones((2, 3, 3)), "not a stack"),
+        (np.ones((2, 3, 3)), np.eye(2), "not a stack"),
+        (np.eye(3), np.eye(4), "dimensions differ"),
+        (np.ones((3, 4)), np.eye(3), "must be square"),
+    ],
+)
+def test_twirl_operands_are_single_square_matrices_of_one_dimension(monkeypatch, a_op, b_op, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a Haar unitary was drawn")
+
+    monkeypatch.setattr(witness, "haar_unitary", no_draw)
+    calls = [
+        lambda: twirl_constants(a_op, b_op),
+        lambda: twirl_mc(a_op, b_op, b_op, 200, RngHandle(202)),
+        lambda: twirl_mc(b_op, b_op, a_op, 200, RngHandle(202)),
+        lambda: choi_isotropic_check(a_op, b_op, 200, RngHandle(202)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_invalid_dimensions_fail_before_sampling(monkeypatch):
