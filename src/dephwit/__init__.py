@@ -8,10 +8,9 @@ structured-evolution averages and their Monte Carlo estimators, the
 twirling channel, and a reproducible seeded CLI.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .linalg import (
-    HermitianEigensystem,
     dagger,
     eig_hermitian,
     hs_norm,
@@ -25,7 +24,6 @@ from .states import (
     random_mixed,
 )
 from .dephasing import (
-    DephasingBasis,
     dephase_total,
     discord_delta,
     eigenbasis_of_marginal,
@@ -43,7 +41,6 @@ from .witness import (
     ChoiCheckResult,
     McEstimate,
     TwirlConstants,
-    WitnessResult,
     choi_isotropic_check,
     haar_average_distance_sq,
     haar_witness_prefactor_sq,

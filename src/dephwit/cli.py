@@ -99,17 +99,17 @@ def _time_grid(config: ExperimentConfig) -> np.ndarray:
 
 
 def _dephased_pair(config: ExperimentConfig, rng: RngHandle):
-    """The state, its dephased image, the basis and the discord delta."""
+    """The state, its dephased image, the degeneracy flag and the discord delta."""
     state = _build_state(config, rng)
-    basis = eigenbasis_of_marginal(state)
-    if basis.degenerate:
+    basis, degenerate = eigenbasis_of_marginal(state)
+    if degenerate:
         print(
             "warning: reduced system state has a degenerate spectrum; "
             "delta depends on the basis the eigensolver picks inside the degenerate eigenspace",
             file=sys.stderr,
         )
     deph = dephase_total(state, basis)
-    return state, deph, basis, float(hs_norm(state.rho - deph.rho))
+    return state, deph, degenerate, float(hs_norm(state.rho - deph.rho))
 
 
 def _safe_z(mean: float, std_error: float, reference: float) -> float:
@@ -119,28 +119,25 @@ def _safe_z(mean: float, std_error: float, reference: float) -> float:
 
 
 def _run_discord(config: ExperimentConfig, master: RngHandle, workers: int):
-    state, deph, basis, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
+    state, deph, degenerate, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
     return {
         "delta": delta,
         "delta_sq": delta**2,
         "purity": purity(state),
         "purity_dephased": purity(deph),
         "classical": int(delta <= CLASSICALITY_TOL),
-        "degenerate_marginal": int(basis.degenerate),
+        "degenerate_marginal": int(degenerate),
     }
 
 
 def _run_witness_trajectory(config: ExperimentConfig, master: RngHandle, workers: int):
     state, deph, _, _ = _dephased_pair(config, master.derive(_STATE_STREAM))
     se = structured_evolution(_build_ensemble(config), master.derive(_OPERATOR_STREAM))
-    traj = witness_trajectory(state, deph, se, _time_grid(config))
+    times = _time_grid(config)
+    hs_distance, trace_distance = witness_trajectory(state, deph, se, times)
     return [
-        {
-            "t": float(t),
-            "hs_distance": float(h),
-            "trace_distance": float(td),
-        }
-        for t, h, td in zip(traj.time_grid, traj.hs_distance, traj.trace_distance)
+        {"t": float(t), "hs_distance": float(h), "trace_distance": float(td)}
+        for t, h, td in zip(times, hs_distance, trace_distance)
     ]
 
 
@@ -339,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,15 @@
 """Local dephasing and the Hilbert-Schmidt discord measure.
 
 The dephasing map Phi keeps the system-diagonal blocks of a bipartite
-state in the eigenbasis V of its reduced system state and drops the
-rest: Phi(rho) = sum_mu (|v_mu><v_mu| x 1) rho (|v_mu><v_mu| x 1). It
-leaves both marginals invariant and generally changes the total state.
-The residual Hilbert-Schmidt distance is the discord measure: zero
-exactly for classically correlated states.
+state in the eigenbasis V of its reduced system state, a plain d_s x d_s
+unitary with columns v_mu, and drops the rest: Phi(rho) = sum_mu
+(|v_mu><v_mu| x 1) rho (|v_mu><v_mu| x 1). It leaves both marginals
+invariant and generally changes the total state. The residual
+Hilbert-Schmidt distance is the discord measure: zero exactly for
+classically correlated states.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,47 +20,30 @@ CLASSICALITY_TOL = 1e-8
 DEGENERACY_GAP = 1e-9
 
 
-@dataclass(frozen=True)
-class DephasingBasis:
-    """Orthonormal dephasing basis from a marginal eigenbasis.
+def eigenbasis_of_marginal(state: BipartiteState) -> tuple[np.ndarray, bool]:
+    """Dephasing basis from the eigenvectors of the reduced system state.
 
-    ``vectors`` is a d_s x d_s unitary whose columns are the basis
-    vectors, ordered by ascending marginal eigenvalue. ``degenerate``
-    flags spectra with any gap below ``DEGENERACY_GAP``; delta then
-    depends on the basis the eigensolver picks inside the degenerate
-    eigenspace, not on the state alone.
+    Returns ``(vectors, degenerate)``. ``vectors`` is a d_s x d_s unitary
+    whose columns are the basis vectors, ordered by ascending marginal
+    eigenvalue. ``degenerate`` flags spectra with any gap below
+    ``DEGENERACY_GAP``; delta then depends on the basis the eigensolver
+    picks inside the degenerate eigenspace, not on the state alone.
     """
-
-    vectors: np.ndarray
-    degenerate: bool
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", require_unitary(self.vectors, "vectors"))
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
+    eigenvalues, vectors = eig_hermitian(state.marginal_system())
+    gaps = np.diff(eigenvalues)
+    return vectors, bool(gaps.size and gaps.min() < DEGENERACY_GAP)
 
 
-def eigenbasis_of_marginal(state: BipartiteState) -> DephasingBasis:
-    """Dephasing basis from the eigenvectors of the reduced system state."""
-    eig = eig_hermitian(state.marginal_system())
-    gaps = np.diff(eig.eigenvalues)
-    degenerate = bool(gaps.size and gaps.min() < DEGENERACY_GAP)
-    return DephasingBasis(eig.eigenvectors, degenerate)
-
-
-def dephase_total(state: BipartiteState, basis: DephasingBasis | None = None) -> BipartiteState:
+def dephase_total(state: BipartiteState, basis: np.ndarray | None = None) -> BipartiteState:
     """Dephase the system side of a total state: sum_mu Pi_mu rho Pi_mu.
 
-    The purity never increases. With no basis given, the marginal
-    eigenbasis of ``state`` is used.
+    ``basis`` is a d_s x d_s unitary whose columns are the dephasing
+    basis; with none given, the marginal eigenbasis of ``state`` is used.
+    The purity never increases.
     """
-    if basis is None:
-        basis = eigenbasis_of_marginal(state)
-    if basis.dim != state.d_s:
-        raise ValueError(f"basis dimension {basis.dim} does not match d_s = {state.d_s}")
-    v = basis.vectors
+    v = eigenbasis_of_marginal(state)[0] if basis is None else require_unitary(basis, "basis")
+    if v.shape[0] != state.d_s:
+        raise ValueError(f"basis dimension {v.shape[0]} does not match d_s = {state.d_s}")
     r = state.rho.reshape(state.d_s, state.d_e, state.d_s, state.d_e)
     # block mu is <v_mu| rho |v_mu>, an operator on the environment
     blocks = np.einsum("am,akbl,bm->mkl", v.conj(), r, v)

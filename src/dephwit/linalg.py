@@ -2,7 +2,8 @@
 
 The partial trace over the environment, the Hilbert-Schmidt norm,
 Hermiticity and unitarity checks, and a cyclic Jacobi eigensolver for
-complex Hermitian matrices.
+complex Hermitian matrices that returns plain arrays ``(w, v)``, the
+contract of ``np.linalg.eigh``.
 
 Matrices are plain ``numpy`` arrays of complex128. Where it costs nothing,
 operations broadcast over leading axes so stacked inputs (Monte Carlo
@@ -12,7 +13,6 @@ batches) go through the same code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,18 +86,6 @@ def hs_norm(a: np.ndarray):
     return np.sqrt(hs_norm_sq(a))
 
 
-@dataclass(frozen=True)
-class HermitianEigensystem:
-    """Spectral data of a Hermitian matrix.
-
-    ``eigenvalues`` is ascending; ``eigenvectors`` holds the matching
-    orthonormal columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
     apq = work[p, q]
     mag = abs(apq)
@@ -121,8 +109,11 @@ def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
     vecs[:, cols] = vecs[:, cols] @ rot
 
 
-def eig_hermitian(a: np.ndarray) -> HermitianEigensystem:
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
+
+    Returns ``(w, v)`` as ``np.linalg.eigh`` does: the eigenvalues ``w``
+    ascending and ``v`` with the matching orthonormal columns.
 
     Sweeps run until the off-diagonal Hilbert-Schmidt norm drops below
     ``JACOBI_SWEEP_TOL`` (hybrid absolute/relative).
@@ -154,4 +145,4 @@ def eig_hermitian(a: np.ndarray) -> HermitianEigensystem:
         )
     vals = np.diagonal(work).real
     order = np.argsort(vals, kind="stable")
-    return HermitianEigensystem(vals[order], vecs[:, order])
+    return vals[order], vecs[:, order]

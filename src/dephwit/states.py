@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, eig_hermitian, hs_norm_sq, partial_trace_env, require_hermitian, require_unitary
+from .linalg import dagger, eig_hermitian, hs_norm_sq, partial_trace_env, require_hermitian
 from .randmat import RngHandle, ginibre
 
 STATE_TOL = 1e-10
@@ -38,7 +38,7 @@ class BipartiteState:
             )
         if abs(complex(np.trace(rho)) - 1.0) > STATE_TOL:
             raise ValueError("rho does not have unit trace")
-        lowest = eig_hermitian(rho).eigenvalues[0]
+        lowest = eig_hermitian(rho)[0][0]
         if lowest < -STATE_TOL:
             raise ValueError(f"rho is not positive semidefinite (min eigenvalue {lowest})")
         object.__setattr__(self, "rho", rho)
@@ -68,22 +68,13 @@ def purity(state: BipartiteState) -> float:
     return float(hs_norm_sq(state.rho))
 
 
-def _basis(u, d: int, name: str) -> np.ndarray:
-    if u is None:
-        return np.eye(d)
-    u = require_unitary(u, name)
-    if u.shape != (d, d):
-        raise ValueError(f"{name} must be {d} x {d} to match the table, got {u.shape}")
-    return u
+def classical_state(p) -> BipartiteState:
+    """Classically correlated state sum_ij p_ij |i><i| x |j><j|.
 
-
-def classical_state(p, system_basis=None, env_basis=None) -> BipartiteState:
-    """Classically correlated state sum_ij p_ij |a_i><a_i| x |b_j><b_j|.
-
-    ``p`` is a d_s by d_e table of probabilities; the bases are matrices
-    of orthonormal columns (identity when omitted). When the system
-    marginal is nondegenerate the output is an exact fixed point of the
-    local dephasing map.
+    ``p`` is a d_s by d_e table of probabilities; the state is diagonal in
+    the product of the computational bases. When the system marginal is
+    nondegenerate the output is an exact fixed point of the local
+    dephasing map.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
@@ -93,9 +84,8 @@ def classical_state(p, system_basis=None, env_basis=None) -> BipartiteState:
     if not abs(float(p.sum()) - 1.0) <= STATE_TOL:  # a NaN entry fails here too
         raise ValueError(f"probability table sums to {p.sum()}, expected 1")
     d_s, d_e = p.shape
-    # column i d_e + j of a x b is a_i x b_j, weighted by p_ij
-    ab = np.kron(_basis(system_basis, d_s, "system_basis"), _basis(env_basis, d_e, "env_basis"))
-    return BipartiteState(d_s, d_e, (ab * p.reshape(-1)) @ dagger(ab))
+    # entry i d_e + j of the diagonal is p_ij
+    return BipartiteState(d_s, d_e, np.diag(p.reshape(-1)))
 
 
 def random_mixed(d_s: int, d_e: int, rank: int, rng: RngHandle) -> BipartiteState:

@@ -95,15 +95,6 @@ class ChoiCheckResult:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    """Witness trajectory along a time grid, with the trace-distance diagnostic."""
-
-    time_grid: np.ndarray
-    hs_distance: np.ndarray
-    trace_distance: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # chunked Monte Carlo driver
 
@@ -440,13 +431,14 @@ def witness_trajectory(
     rho_deph: BipartiteState,
     se: StructuredEvolution,
     time_grid,
-) -> WitnessResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Witness distance along a time grid for one fixed evolution.
 
-    Also records the trace distance between the reduced evolved states
-    as a diagnostic (the quantity used by trace-distance-based
-    detection schemes). Both are norms of the one reduced difference
-    Tr_E(U M U^dagger), M = rho - rho_deph.
+    Returns ``(hs_distance, trace_distance)``, one entry per time. The
+    trace distance between the reduced evolved states is a diagnostic
+    (the quantity used by trace-distance-based detection schemes). Both
+    are norms of the one reduced difference Tr_E(U M U^dagger),
+    M = rho - rho_deph.
     """
     m = _check_state_pair(rho, rho_deph)
     if se.levels.size != rho.dim:
@@ -459,7 +451,7 @@ def witness_trajectory(
         red = partial_trace_env(u @ m @ dagger(u), rho.d_s, rho.d_e)
         hs_vals[i] = hs_norm(red)
         td_vals[i] = _half_trace_norm(red)
-    return WitnessResult(times, hs_vals, td_vals)
+    return hs_vals, td_vals
 
 
 # ---------------------------------------------------------------------------
@@ -629,4 +621,4 @@ def choi_isotropic_check(
 
 
 def _half_trace_norm(x: np.ndarray) -> float:
-    return 0.5 * float(np.abs(eig_hermitian(x).eigenvalues).sum())
+    return 0.5 * float(np.abs(eig_hermitian(x)[0]).sum())

@@ -189,12 +189,12 @@ def test_twirl_checks_are_identical_for_any_worker_count_and_match_a_direct_call
 
 
 def _dephased(state):
-    basis = eigenbasis_of_marginal(state)
-    return dephase_total(state, basis), basis
+    basis, degenerate = eigenbasis_of_marginal(state)
+    return dephase_total(state, basis), degenerate
 
 
 def _discord_direct(state):
-    deph, basis = _dephased(state)
+    deph, degenerate = _dephased(state)
     delta = discord_delta(state)
     return {
         "delta": delta,
@@ -202,17 +202,17 @@ def _discord_direct(state):
         "purity": purity(state),
         "purity_dephased": purity(deph),
         "classical": int(delta <= CLASSICALITY_TOL),
-        "degenerate_marginal": int(basis.degenerate),
+        "degenerate_marginal": int(degenerate),
     }
 
 
 def _trajectory_direct(state, ensemble, seed, times):
     deph, _ = _dephased(state)
     se = structured_evolution(ensemble, RngHandle(seed).derive(1))
-    traj = witness_trajectory(state, deph, se, times)
+    hs_distance, trace_distance = witness_trajectory(state, deph, se, times)
     return [
         {"t": t, "hs_distance": h, "trace_distance": td}
-        for t, h, td in zip(traj.time_grid.tolist(), traj.hs_distance.tolist(), traj.trace_distance.tolist())
+        for t, h, td in zip(times.tolist(), hs_distance.tolist(), trace_distance.tolist())
     ]
 
 
@@ -585,6 +585,19 @@ def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"config error: cannot read {cfg}: 'utf-8' codec can't decode byte 0xe9")
     assert not out.exists()
+
+
+def test_a_config_with_a_utf8_byte_order_mark_writes_the_same_bytes(tmp_path):
+    # some editors start a UTF-8 file with the mark U+FEFF
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(STATE.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + STATE.encode())
+    outputs = []
+    for cfg in (plain, marked):
+        out = tmp_path / f"{cfg.stem}.json"
+        assert cli.main(["discord", "--config", str(cfg), "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_a_missing_output_exits_2(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dephwit.dephasing import (
     CLASSICALITY_TOL,
-    DephasingBasis,
     dephase_total,
     discord_delta,
     eigenbasis_of_marginal,
@@ -39,33 +38,33 @@ DISCORDANT_SEPARABLE_DELTA = 0.35355339059327373
 def test_eigenbasis_orders_by_ascending_eigenvalue():
     s = BipartiteState(2, 2, np.diag([0.49, 0.21, 0.21, 0.09]).astype(complex))
     # marginal is diag(0.7, 0.3); ascending order puts the 0.3 eigenvector first
-    basis = eigenbasis_of_marginal(s)
-    v = basis.vectors
+    v, degenerate = eigenbasis_of_marginal(s)
     np.testing.assert_allclose(np.outer(v[:, 0], v[:, 0].conj()), np.diag([0.0, 1.0]), atol=1e-10)
     np.testing.assert_allclose(np.outer(v[:, 1], v[:, 1].conj()), np.diag([1.0, 0.0]), atol=1e-10)
-    assert not basis.degenerate
+    assert not degenerate
 
 
 def test_eigenbasis_flags_degenerate_marginal():
-    basis = eigenbasis_of_marginal(from_pure(BELL, 2, 2))
-    assert basis.degenerate
-    np.testing.assert_allclose(basis.vectors @ basis.vectors.conj().T, np.eye(2), atol=1e-10)
+    v, degenerate = eigenbasis_of_marginal(from_pure(BELL, 2, 2))
+    assert degenerate
+    np.testing.assert_allclose(v @ v.conj().T, np.eye(2), atol=1e-10)
 
 
 def test_eigenbasis_of_nondiagonal_marginal():
     s = BipartiteState(2, 2, DISCORDANT_SEPARABLE)
     np.testing.assert_allclose(s.marginal_system(), [[0.75, 0.25], [0.25, 0.25]], atol=1e-12)
-    basis = eigenbasis_of_marginal(s)
+    v, _ = eigenbasis_of_marginal(s)
     expected = np.array([(1 - np.sqrt(0.5)) / 2, (1 + np.sqrt(0.5)) / 2])
     rho_s = s.marginal_system()
-    for lam, vec in zip(expected, basis.vectors.T):
+    for lam, vec in zip(expected, v.T):
         assert np.linalg.norm(rho_s @ vec - lam * vec) <= 1e-10
 
 
 def test_basis_invariants_enforced():
-    good = eigenbasis_of_marginal(from_pure(SQRT8, 2, 2))
-    with pytest.raises(ValueError):
-        DephasingBasis(good.vectors * 0.5, False)
+    s = from_pure(SQRT8, 2, 2)
+    good, _ = eigenbasis_of_marginal(s)
+    with pytest.raises(ValueError, match="basis is not unitary"):
+        dephase_total(s, good * 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +78,19 @@ def test_dephase_total_fixes_classical_states():
     assert hs_norm(deph.rho - s.rho) <= 1e-10
 
 
+def test_dephase_total_fixes_classical_states_in_rotated_bases():
+    # (a x b) classical_state(p) (a x b)^dagger is diagonal in the columns of a x b
+    rng = RngHandle(303)
+    a, b = haar_unitary(2, rng), haar_unitary(3, rng)
+    p = np.array([[0.5, 0.1, 0.05], [0.2, 0.1, 0.05]])
+    u = np.kron(a, b)
+    s = BipartiteState(2, 3, u @ classical_state(p).rho @ u.conj().T)
+    # the marginal eigenvalues are the row sums of p
+    np.testing.assert_allclose(np.linalg.eigvalsh(s.marginal_system()), sorted(p.sum(axis=1)), atol=1e-12)
+    assert hs_norm(dephase_total(s, a).rho - s.rho) <= 1e-12
+    assert hs_norm(dephase_total(s).rho - s.rho) <= 1e-12
+
+
 def test_dephase_total_keeps_environment_coherences():
     # Phi acts on the system side only: diag(0.3, 0.7) x rho_E is a fixed point
     rho_e = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
@@ -88,7 +100,7 @@ def test_dephase_total_keeps_environment_coherences():
 
 def test_dephase_total_kills_system_coherences_in_the_given_basis():
     # |+><+| x rho_E dephased in the computational basis is I/2 x rho_E
-    basis = DephasingBasis(np.eye(2, dtype=complex), False)
+    basis = np.eye(2, dtype=complex)
     plus = np.full((2, 2), 0.5, dtype=complex)
     rho_e = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
     s = BipartiteState(2, 2, np.kron(plus, rho_e))
@@ -101,9 +113,8 @@ def test_dephase_total_idempotent_and_block_diagonal_in_any_basis(seed):
     rng = np_rng(seed)
     s = BipartiteState(2, 3, random_density_np(rng, 6))
     v = haar_np(rng, 2)
-    basis = DephasingBasis(v, False)
-    once = dephase_total(s, basis)
-    twice = dephase_total(once, basis)
+    once = dephase_total(s, v)
+    twice = dephase_total(once, v)
     np.testing.assert_allclose(twice.rho, once.rho, atol=1e-12)
     assert np.trace(once.rho).real == pytest.approx(1.0, abs=1e-12)
     # the blocks <v_0| rho' |v_1> between different basis vectors vanish
@@ -128,17 +139,17 @@ def test_dephase_total_marginals_and_purity(seed):
     env = lambda rho: np.einsum("kikj->ij", rho.reshape(2, 3, 2, 3))
     np.testing.assert_allclose(env(deph.rho), env(s.rho), atol=1e-10)
     assert purity(deph) <= purity(s) + 1e-12
-    again = dephase_total(deph, eigenbasis_of_marginal(s))
+    again = dephase_total(deph, eigenbasis_of_marginal(s)[0])
     assert hs_norm(again.rho - deph.rho) <= 1e-10
 
 
 def test_dephase_total_ignores_the_order_and_phases_of_the_basis_columns():
     # the map depends only on the projectors |v_mu><v_mu|
     state = random_mixed(3, 2, 4, RngHandle(133))
-    basis = eigenbasis_of_marginal(state)
+    basis, _ = eigenbasis_of_marginal(state)
     perm = [2, 0, 1]
     phases = np.exp(1j * np.array([0.3, -2.0, 2.9]))
-    shuffled = DephasingBasis(basis.vectors[:, perm] * phases, False)
+    shuffled = basis[:, perm] * phases
     np.testing.assert_allclose(
         dephase_total(state, shuffled).rho, dephase_total(state, basis).rho, rtol=0, atol=1e-14
     )
@@ -146,8 +157,8 @@ def test_dephase_total_ignores_the_order_and_phases_of_the_basis_columns():
 
 def test_dephase_total_rejects_mismatched_basis():
     s = from_pure(SQRT8, 2, 2)
-    other = eigenbasis_of_marginal(BipartiteState(3, 2, np.eye(6, dtype=complex) / 6))
-    with pytest.raises(ValueError):
+    other, _ = eigenbasis_of_marginal(BipartiteState(3, 2, np.eye(6, dtype=complex) / 6))
+    with pytest.raises(ValueError, match="basis dimension 3 does not match d_s = 2"):
         dephase_total(s, other)
 
 
@@ -224,8 +235,8 @@ def test_both_discord_routes_agree():
 def test_discord_invariant_under_commuting_local_unitaries():
     # phases diagonal in the dephasing basis on the system, anything on the environment
     s = BipartiteState(2, 3, random_density_np(np_rng(73), 6))
-    basis = eigenbasis_of_marginal(s)
-    assert not basis.degenerate
+    _, degenerate = eigenbasis_of_marginal(s)
+    assert not degenerate
     eig_cols = np.linalg.eigh(s.marginal_system())[1]
     phases = np.exp(1j * np.array([0.3, -1.1]))
     u_s = eig_cols @ np.diag(phases) @ eig_cols.conj().T

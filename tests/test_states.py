@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dephwit.randmat import RngHandle, haar_unitary
+from dephwit.randmat import RngHandle
 from dephwit.states import (
     BipartiteState,
     classical_state,
@@ -120,43 +120,31 @@ def test_classical_state_rejects_bad_tables():
 
 
 @pytest.mark.parametrize(
-    "p, bases, message",
+    "p, message",
     [
-        (np.full((2, 3), 1 / 6), {"system_basis": np.eye(3)}, "system_basis must be 2 x 2"),
-        (np.full((2, 3), 1 / 6), {"env_basis": np.eye(2)}, "env_basis must be 3 x 3"),
-        # a 4 x 4 product of two wrong bases broadcasts against a 1 x 4 table
-        (np.full((1, 4), 1 / 4), {"system_basis": np.eye(2), "env_basis": np.eye(2)}, "system_basis must be 1 x 1"),
-        (np.full((2, 2), 1 / 4), {"system_basis": np.eye(1), "env_basis": np.eye(4)}, "system_basis must be 2 x 2"),
-        (np.full((2, 2), 1 / 4), {"env_basis": np.eye(1)}, "env_basis must be 2 x 2"),
+        (np.array([0.5, 0.5]), "probability table must be 2-dimensional"),
+        (np.array([[1.2, 0.0], [0.0, -0.2]]), "probability table has negative entries"),
+        (np.array([[0.7, 0.2], [0.3, 0.3]]), r"probability table sums to 1\.5, expected 1"),
     ],
 )
-def test_classical_state_rejects_bases_that_do_not_match_the_table(p, bases, message):
+def test_classical_state_names_what_is_wrong_with_the_table(p, message):
     with pytest.raises(ValueError, match=message):
-        classical_state(p, **bases)
-
-
-def test_classical_state_in_rotated_bases():
-    rng = RngHandle(303)
-    a = haar_unitary(2, rng)
-    b = haar_unitary(3, rng)
-    p = np.array([[0.5, 0.1, 0.05], [0.2, 0.1, 0.05]])
-    s = classical_state(p, system_basis=a, env_basis=b)
-    # marginal eigenvalues are the row sums of p
-    marg = np.linalg.eigvalsh(s.marginal_system())
-    np.testing.assert_allclose(marg, sorted(p.sum(axis=1)), atol=1e-12)
+        classical_state(p)
 
 
 @pytest.mark.parametrize("d_s, d_e", [(2, 3), (3, 2)])
 def test_classical_state_matches_the_sum_of_product_projectors(d_s, d_e):
-    rng = RngHandle(304, (d_s, d_e))
-    a, b = haar_unitary(d_s, rng), haar_unitary(d_e, rng)
     p = np_rng(305).dirichlet(np.ones(d_s * d_e)).reshape(d_s, d_e)
+    a, b = np.eye(d_s), np.eye(d_e)
     expected = sum(
-        p[i, j] * np.kron(np.outer(a[:, i], a[:, i].conj()), np.outer(b[:, j], b[:, j].conj()))
+        p[i, j] * np.kron(np.outer(a[:, i], a[:, i]), np.outer(b[:, j], b[:, j]))
         for i in range(d_s)
         for j in range(d_e)
     )
-    np.testing.assert_allclose(classical_state(p, a, b).rho, expected, rtol=0, atol=1e-14)
+    s = classical_state(p)
+    np.testing.assert_array_equal(s.rho, expected)
+    # the system marginal is diagonal, with the row sums of p
+    np.testing.assert_allclose(s.marginal_system(), np.diag(p.sum(axis=1)), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,20 @@ def test_theorem_mc_rank_deficient_operators(d_s, d_e, kind):
     assert abs(est.mean - rhs) <= 4.0 * est.std_error
 
 
+def test_theorem_mc_error_bar_is_calibrated_over_seeds():
+    # 200 seeds at 2 x 2 and n = 64, each with its own M = H + 1. Over 20,000
+    # seeds the mean of z^2 is 1.063 (kurtosis of z 3.2), and its spread over
+    # 100 batches of 200 seeds (sd 0.115) is that of 1.063 chi^2_nu / nu with
+    # nu = 170. In that law the window's false-alarm rate is 2e-5. An error bar
+    # scaled by 1.5 or by 0.67 moves the statistic to about 0.47 or 2.37.
+    z_sq = []
+    for seed in range(200):
+        m = random_hermitian_np(np_rng(7300 + seed), 4) + np.eye(4)
+        est, rhs = theorem_mc_check(m, 2, 2, 64, RngHandle(7301, (seed,)))
+        z_sq.append(((est.mean - rhs) / est.std_error) ** 2)
+    assert 0.65 <= float(np.mean(z_sq)) <= 1.65
+
+
 def test_haar_samples_draw_normals_for_the_rank_of_m(monkeypatch):
     drawn = []
     normals = RngHandle.normals
@@ -495,6 +509,51 @@ def test_degree_two_weingarten_floats_are_the_rounded_rationals():
         assert all(_ulps(wg[i, j], exact[i][j]) <= 2 for i in range(2) for j in range(2))
 
 
+def _collins_s4(d):
+    # Collins, IMRN 2003, 953: Wg over S_4 by the cycle type of sigma^-1 tau
+    big = d**2 * (d**2 - 1) * (d**2 - 4) * (d**2 - 9)
+    return {
+        (1, 1, 1, 1): Fraction(d**4 - 8 * d**2 + 6, big),
+        (2, 1, 1): Fraction(-1, d * (d**2 - 1) * (d**2 - 9)),
+        (2, 2): Fraction(d**2 + 6, big),
+        (3, 1): Fraction(2 * d**2 - 3, big),
+        (4,): Fraction(-5, d * (d**2 - 1) * (d**2 - 4) * (d**2 - 9)),
+    }
+
+
+def _cycle_types_s4():
+    # cycle type of sigma^-1 tau for each pair, in the order of itertools.permutations
+    perms = list(itertools.permutations(range(4)))
+    types = []
+    for sigma in perms:
+        row = []
+        for tau in perms:
+            p = [sigma.index(t) for t in tau]
+            seen, lengths = set(), []
+            for start in range(4):
+                k, length = start, 0
+                while k not in seen:
+                    seen.add(k)
+                    k, length = p[k], length + 1
+                if length:
+                    lengths.append(length)
+            row.append(tuple(sorted(lengths, reverse=True)))
+        types.append(row)
+    return types
+
+
+def test_degree_four_weingarten_floats_are_collins_rational_functions():
+    types = _cycle_types_s4()
+    # the closed forms are the exact Gram inverse
+    for d in (4, 5, 6, 9):
+        forms = _collins_s4(d)
+        assert weingarten_exact(4, d) == [[forms[t] for t in row] for row in types]
+    # the float matrix is each form correctly rounded
+    for d in [*range(4, 65), 256, 1024, 4096, 65536]:
+        forms = {t: float(v) for t, v in _collins_s4(d).items()}
+        assert weingarten_matrix(4, d).tolist() == [[forms[t] for t in row] for row in types]
+
+
 def test_haar_witness_prefactors_are_the_rounded_exact_sums():
     grid = (1, 2, 3, 4, 5, 7, 8, 16, 31, 64)
     for d_s, d_e in itertools.product(grid, repeat=2):
@@ -674,11 +733,11 @@ def test_annealed_rows_pass_z_checks_against_the_sampler(d_s, d_e):
 def test_witness_trajectory_starts_at_zero():
     state, deph = _pair(SQRT8, 2, 2)
     se = structured_evolution(SpectrumEnsemble("gue", 4), RngHandle(141))
-    result = witness_trajectory(state, deph, se, np.linspace(0.0, 3.0, 7))
-    assert result.hs_distance[0] <= 1e-10
-    assert result.trace_distance[0] <= 1e-10
-    assert np.all(result.hs_distance >= 0.0)
-    assert result.time_grid.shape == result.hs_distance.shape
+    hs_distance, trace_distance = witness_trajectory(state, deph, se, np.linspace(0.0, 3.0, 7))
+    assert hs_distance[0] <= 1e-10
+    assert trace_distance[0] <= 1e-10
+    assert np.all(hs_distance >= 0.0)
+    assert hs_distance.shape == trace_distance.shape == (7,)
 
 
 @pytest.mark.parametrize("d_s, d_e, rank", [(2, 2, 1), (2, 3, 3), (3, 2, 6)])
@@ -688,9 +747,9 @@ def test_witness_trajectory_trace_distance_at_nonzero_times(d_s, d_e, rank):
     deph = dephase_total(state)
     se = structured_evolution(SpectrumEnsemble("gue", d_s * d_e), RngHandle(145))
     times = np.array([0.4, 1.3, 2.9, 7.5])
-    result = witness_trajectory(state, deph, se, times)
+    _, trace_distance = witness_trajectory(state, deph, se, times)
     m = state.rho - deph.rho
-    for t, td in zip(times, result.trace_distance):
+    for t, td in zip(times, trace_distance):
         u = (se.eigvecs * np.exp(-1j * t * se.levels)) @ se.eigvecs.conj().T
         red = ptrace_env_loops(u @ m @ u.conj().T, d_s, d_e)
         expected = 0.5 * np.abs(np.linalg.eigvalsh(red)).sum()
@@ -701,8 +760,8 @@ def test_witness_trajectory_trace_distance_at_nonzero_times(d_s, d_e, rank):
 def test_witness_trajectory_classical_flat():
     state, deph = _classical_pair()
     se = structured_evolution(SpectrumEnsemble("poisson", 4), RngHandle(142))
-    result = witness_trajectory(state, deph, se, np.linspace(0.0, 5.0, 11))
-    assert np.all(result.hs_distance <= 1e-9)
+    hs_distance, _ = witness_trajectory(state, deph, se, np.linspace(0.0, 5.0, 11))
+    assert np.all(hs_distance <= 1e-9)
 
 
 def test_witness_trajectory_rejects_mismatched_evolution():
