@@ -20,10 +20,10 @@ and Tr(B)/d are.
 The Monte Carlo commands run on ``DEPHWIT_WORKERS`` threads, one when
 the variable is unset. It has no upper limit, but a run starts at most
 ``os.cpu_count()`` threads.
-Exit status: 0 on success, 1 when the run fails, its results are not
-finite or its output cannot be written (``DEPHWIT_WORKERS`` not a
-positive integer included), 2 when the config cannot be read or is
-invalid; each problem is one line on stderr.
+Exit status: 0 on success, 1 when the run fails (out of memory
+included), its results are not finite or its output cannot be written
+(``DEPHWIT_WORKERS`` not a positive integer included), 2 when the config
+cannot be read or is invalid; each problem is one line on stderr.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         # an overflow surfaces as non-finite results, which `run` reports as one line
         with np.errstate(all="ignore"):
             record = run(config)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     duration = time.perf_counter() - started

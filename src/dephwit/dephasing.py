@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import dagger, eig_hermitian, hs_norm, require_unitary
-from .states import BipartiteState, purity
+from .states import BipartiteState, _with_lowest_eigenvalue, purity
 
 CLASSICALITY_TOL = 1e-8
 DEGENERACY_GAP = 1e-9
@@ -40,6 +40,11 @@ def dephase_total(state: BipartiteState, basis: np.ndarray | None = None) -> Bip
     ``basis`` is a d_s x d_s unitary whose columns are the dephasing
     basis; with none given, the marginal eigenbasis of ``state`` is used.
     The purity never increases.
+
+    Phi(rho) is unitarily the direct sum of its d_s blocks
+    <v_mu| rho |v_mu>, so its spectrum is theirs: the output is checked to
+    be positive semidefinite from one eigensolve of the (d_s, d_e, d_e)
+    stack of blocks, not of the d x d matrix.
     """
     v = eigenbasis_of_marginal(state)[0] if basis is None else require_unitary(basis, "basis")
     if v.shape[0] != state.d_s:
@@ -49,7 +54,8 @@ def dephase_total(state: BipartiteState, basis: np.ndarray | None = None) -> Bip
     blocks = np.einsum("am,akbl,bm->mkl", v.conj(), r, v)
     out = np.einsum("im,mkl,jm->ikjl", v, blocks, v.conj()).reshape(state.rho.shape)
     out = 0.5 * (out + dagger(out))
-    return BipartiteState(state.d_s, state.d_e, out)
+    lowest = eig_hermitian(blocks)[0].min()
+    return _with_lowest_eigenvalue(state.d_s, state.d_e, out, lowest)
 
 
 def discord_delta(state: BipartiteState) -> float:

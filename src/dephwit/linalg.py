@@ -3,7 +3,7 @@
 The partial trace over the environment, the Hilbert-Schmidt norm,
 Hermiticity and unitarity checks, and a cyclic Jacobi eigensolver for
 complex Hermitian matrices that returns plain arrays ``(w, v)``, the
-contract of ``np.linalg.eigh``.
+contract of ``np.linalg.eigh``, for one matrix or a stack of them.
 
 Matrices are plain ``numpy`` arrays of complex128. Where it costs nothing,
 operations broadcast over leading axes so stacked inputs (Monte Carlo
@@ -109,19 +109,7 @@ def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
     vecs[:, cols] = vecs[:, cols] @ rot
 
 
-def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, v)`` as ``np.linalg.eigh`` does: the eigenvalues ``w``
-    ascending and ``v`` with the matching orthonormal columns.
-
-    Sweeps run until the off-diagonal Hilbert-Schmidt norm drops below
-    ``JACOBI_SWEEP_TOL`` (hybrid absolute/relative).
-
-    Raises ``ValueError`` for non-Hermitian input and ``ConvergenceError``
-    if the sweep limit is exceeded (does not happen for Hermitian input
-    at these dimensions).
-    """
+def _eig_one(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = require_hermitian(a, "a")
     d = a.shape[0]
     work = 0.5 * (a + dagger(a))
@@ -146,3 +134,28 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.diagonal(work).real
     order = np.argsort(vals, kind="stable")
     return vals[order], vecs[:, order]
+
+
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize complex Hermitian matrices by cyclic Jacobi rotations.
+
+    Returns ``(w, v)`` as ``np.linalg.eigh`` does: the eigenvalues ``w``
+    ascending and ``v`` with the matching orthonormal columns. A stack
+    (..., n, n) gives ``w`` of shape (..., n) and ``v`` of shape
+    (..., n, n), each slice exactly what the slice's own call returns.
+
+    Sweeps run until the off-diagonal Hilbert-Schmidt norm drops below
+    ``JACOBI_SWEEP_TOL`` (hybrid absolute/relative).
+
+    Raises ``ValueError`` if any matrix is not Hermitian and
+    ``ConvergenceError`` if the sweep limit is exceeded (does not happen
+    for Hermitian input at these dimensions).
+    """
+    a = np.asarray(a, dtype=complex)
+    w = np.empty(a.shape[:-1])
+    v = np.empty(a.shape, dtype=complex)
+    # a single matrix is the one index (); the loop calls the helper, not
+    # this name, so a wrapper of this name sees a stack as one call
+    for i in np.ndindex(a.shape[:-2]):
+        w[i], v[i] = _eig_one(a[i])
+    return w, v

@@ -21,7 +21,11 @@ class BipartiteState:
     """Density operator on a system (d_s) times environment (d_e) space.
 
     Validated on construction: Hermitian, unit trace, and positive
-    semidefinite within ``STATE_TOL``.
+    semidefinite within ``STATE_TOL``. The positive-semidefinite check
+    takes the lowest eigenvalue from a d x d eigensolve, except for the
+    output of ``dephase_total``: that state is unitarily the direct sum
+    of its d_s diagonal blocks, so the lowest eigenvalue of the blocks is
+    exactly its own, and the d x d eigensolve is skipped.
     """
 
     d_s: int
@@ -29,6 +33,9 @@ class BipartiteState:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
+        self._validate(None)
+
+    def _validate(self, lowest: float | None) -> None:
         if self.d_s < 1 or self.d_e < 1:
             raise ValueError("dimensions must be at least 1")
         rho = require_hermitian(self.rho, "rho")
@@ -38,7 +45,8 @@ class BipartiteState:
             )
         if abs(complex(np.trace(rho)) - 1.0) > STATE_TOL:
             raise ValueError("rho does not have unit trace")
-        lowest = eig_hermitian(rho)[0][0]
+        if lowest is None:
+            lowest = eig_hermitian(rho)[0][0]
         if lowest < -STATE_TOL:
             raise ValueError(f"rho is not positive semidefinite (min eigenvalue {lowest})")
         object.__setattr__(self, "rho", rho)
@@ -49,6 +57,15 @@ class BipartiteState:
 
     def marginal_system(self) -> np.ndarray:
         return partial_trace_env(self.rho, self.d_s, self.d_e)
+
+
+def _with_lowest_eigenvalue(d_s: int, d_e: int, rho, lowest: float) -> BipartiteState:
+    """``BipartiteState(d_s, d_e, rho)`` with ``lowest``, the caller's exact
+    lowest eigenvalue of ``rho``, in place of the d x d eigensolve."""
+    state = object.__new__(BipartiteState)
+    vars(state).update(d_s=d_s, d_e=d_e, rho=rho)
+    state._validate(lowest)
+    return state
 
 
 def from_pure(psi, d_s: int, d_e: int) -> BipartiteState:

@@ -689,6 +689,22 @@ def test_an_unwritable_output_is_a_one_line_run_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_running_out_of_memory_is_a_one_line_run_error(tmp_path, capsys, monkeypatch):
+    # d_E = 4000000000 asks for 119 GiB; the stand-in fails as numpy would,
+    # without allocating anything
+    def out_of_memory(d_s, d_e, rank, rng):
+        raise MemoryError(f"Unable to allocate for a {d_s * d_e} x {rank} draw")
+
+    monkeypatch.setattr(cli, "random_mixed", out_of_memory)
+    text = "d_S = 2\nd_E = 4000000000\nseed = 1\nrandom_rank = 1\n"
+    code, out = _run(tmp_path, "big", text, command="discord")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Unable to allocate for a 8000000000 x 1 draw"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", [None, "2"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_results_are_a_run_error_in_either_format(tmp_path, capsys, monkeypatch, fmt, workers):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dephwit import dephasing, states
 from dephwit.dephasing import (
     CLASSICALITY_TOL,
     dephase_total,
     discord_delta,
     eigenbasis_of_marginal,
 )
-from dephwit.linalg import hs_norm
+from dephwit.linalg import eig_hermitian, hs_norm
 from dephwit.randmat import RngHandle, haar_unitary
 from dephwit.states import BipartiteState, classical_state, from_pure, purity, random_mixed
 from helpers import discord_oracle, geometric_discord_qubit_np, haar_np, np_rng, random_density_np
@@ -160,6 +161,39 @@ def test_dephase_total_rejects_mismatched_basis():
     other, _ = eigenbasis_of_marginal(BipartiteState(3, 2, np.eye(6, dtype=complex) / 6))
     with pytest.raises(ValueError, match="basis dimension 3 does not match d_s = 2"):
         dephase_total(s, other)
+
+
+@pytest.mark.parametrize("d_s, d_e", [(3, 4), (2, 8)])
+def test_dephase_total_validates_its_output_from_one_solve_of_the_blocks(monkeypatch, d_s, d_e):
+    state = random_mixed(d_s, d_e, 5, RngHandle(d_s * d_e))
+    shapes = []
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return eig_hermitian(a)
+
+    monkeypatch.setattr(dephasing, "eig_hermitian", recording)
+    monkeypatch.setattr(states, "eig_hermitian", recording)
+    deph = dephase_total(state)
+    d = d_s * d_e
+    assert shapes.count((d_s, d_e, d_e)) == 1 and (d, d) not in shapes
+    monkeypatch.undo()
+    # the same output as the map written out, checked by a d x d solve
+    v, _ = eigenbasis_of_marginal(state)
+    r = state.rho.reshape(d_s, d_e, d_s, d_e)
+    blocks = np.einsum("am,akbl,bm->mkl", v.conj(), r, v)
+    out = np.einsum("im,mkl,jm->ikjl", v, blocks, v.conj()).reshape(d, d)
+    full = BipartiteState(d_s, d_e, 0.5 * (out + out.conj().T))
+    np.testing.assert_array_equal(deph.rho, full.rho)
+
+
+def test_dephase_total_rejects_a_block_with_a_negative_eigenvalue():
+    # the input skips its own check; its first block diag(0.5 + 1e-6, -1e-6)
+    # is the one the dephased state's check sees
+    rho = np.diag([0.5 + 1e-6, -1e-6, 0.3, 0.2]).astype(complex)
+    state = states._with_lowest_eigenvalue(2, 2, rho, 0.0)
+    with pytest.raises(ValueError, match=r"not positive semidefinite \(min eigenvalue -1e-06\)"):
+        dephase_total(state, np.eye(2))
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,24 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("k, n", [(3, 4), (1, 1)])
+def test_eig_of_a_stack_is_the_stack_of_single_solves(k, n):
+    rng = np_rng(61 + n)
+    stack = np.stack([random_hermitian_np(rng, n) for _ in range(k)])
+    w, v = eig_hermitian(stack)
+    assert w.shape == (k, n) and v.shape == (k, n, n)
+    for i in range(k):
+        wi, vi = eig_hermitian(stack[i])
+        np.testing.assert_array_equal(w[i], wi)
+        np.testing.assert_array_equal(v[i], vi)
+
+
+def test_eig_rejects_a_stack_with_one_non_hermitian_member():
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_hermitian(stack)
+
+
 def test_eig_convergence_error_is_exported():
     assert issubclass(ConvergenceError, ArithmeticError)
 
