@@ -8,7 +8,7 @@ structured-evolution averages and their Monte Carlo estimators, the
 twirling channel, and a reproducible seeded CLI.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .linalg import (
     dagger,
@@ -31,7 +31,6 @@ from .dephasing import (
 from .randmat import (
     RngHandle,
     SpectrumEnsemble,
-    StructuredEvolution,
     ginibre,
     haar_unitary,
     sample_spectrum,

@@ -2,11 +2,12 @@
 
 Ginibre matrices, Haar-distributed unitaries via phase-corrected QR
 (or their first k columns, a Haar isometry, from a d x k Ginibre block),
-eigenvalue spectra with Poisson or GUE level statistics, and structured
-time evolutions W exp(-iDt) W^dagger. GUE spectra come from the beta = 2
-Hermite tridiagonal model of Dumitriu & Edelman (J. Math. Phys. 43, 5830,
-2002): d normals and d - 1 gamma variates in place of the 2 d^2 normals
-of a dense draw.
+eigenvalue spectra with Poisson or GUE level statistics, and the
+eigenpairs of structured evolutions W exp(-iEt) W^dagger. There is no
+evolution type: :func:`structured_evolution` returns the plain pair
+``(levels, W)``. GUE spectra come from the beta = 2 Hermite tridiagonal
+model of Dumitriu & Edelman (J. Math. Phys. 43, 5830, 2002): d normals
+and d - 1 gamma variates in place of the 2 d^2 normals of a dense draw.
 
 All randomness flows through :class:`RngHandle`.
 """
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .linalg import dagger, require_unitary
 
 ENSEMBLE_KINDS = ("poisson", "gue", "explicit")
 
@@ -141,19 +140,12 @@ class SpectrumEnsemble:
         if self.kind == "explicit":
             if self.explicit_levels is None:
                 raise ValueError("explicit ensemble requires explicit_levels")
-            levels = _finite_levels(self.explicit_levels, "explicit_levels")
+            levels = np.asarray(self.explicit_levels, dtype=float)
+            if not np.isfinite(levels).all():
+                raise ValueError("explicit_levels must be finite")
             if levels.shape != (self.dim,):
-                raise ValueError(
-                    f"explicit_levels must have length {self.dim}, got {levels.shape}"
-                )
+                raise ValueError(f"explicit_levels must have length {self.dim}, got {levels.shape}")
             object.__setattr__(self, "explicit_levels", np.sort(levels))
-
-
-def _finite_levels(levels, name: str) -> np.ndarray:
-    levels = np.asarray(levels, dtype=float)
-    if not np.isfinite(levels).all():
-        raise ValueError(f"{name} must be finite")
-    return levels
 
 
 def _rescale_bulk(levels: np.ndarray, mean_spacing: float) -> np.ndarray:
@@ -204,33 +196,11 @@ def sample_spectrum(
     return _rescale_bulk(levels, ensemble.mean_spacing)
 
 
-@dataclass(frozen=True)
-class StructuredEvolution:
-    """Unitary evolution with fixed random eigenvectors and levels.
+def structured_evolution(ensemble: SpectrumEnsemble, rng: RngHandle) -> tuple[np.ndarray, np.ndarray]:
+    """Draw Haar eigenvectors W, then a spectrum E from the ensemble.
 
-    ``evolve(t)`` returns W diag(exp(-i E_j t)) W^dagger (hbar = 1).
+    Returns ``(levels, W)``, the ``np.linalg.eigh`` contract of W diag(E)
+    W^dagger, whose evolution is U(t) = W diag(exp(-i E_j t)) W^dagger (hbar = 1).
     """
-
-    eigvecs: np.ndarray
-    levels: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = require_unitary(self.eigvecs, "eigvecs")
-        levels = _finite_levels(self.levels, "levels")
-        if levels.shape != (w.shape[0],):
-            raise ValueError("levels length must match eigvecs dimension")
-        object.__setattr__(self, "eigvecs", w)
-        object.__setattr__(self, "levels", levels)
-
-    def evolve(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * float(t) * self.levels)
-        w = self.eigvecs
-        return (w * phases) @ dagger(w)
-
-
-def structured_evolution(ensemble: SpectrumEnsemble, rng: RngHandle) -> StructuredEvolution:
-    """Draw Haar eigenvectors, then a spectrum from the ensemble."""
     w = haar_unitary(ensemble.dim, rng)
-    levels = sample_spectrum(ensemble, rng)
-    return StructuredEvolution(eigvecs=w, levels=levels)
-
+    return sample_spectrum(ensemble, rng), w

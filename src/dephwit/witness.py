@@ -35,12 +35,13 @@ from .linalg import (
     require_hermitian,
     require_unitary,
 )
-from .randmat import RngHandle, SpectrumEnsemble, StructuredEvolution, haar_unitary, sample_spectrum
+from .randmat import RngHandle, SpectrumEnsemble, haar_unitary, sample_spectrum
 from .states import BipartiteState
 from .weingarten import monomial_weights, weingarten_matrix, witness_means, witness_rows
 
 MC_CHUNK = 512
 BLOCK_BYTES = 128 * 1024
+TRAJECTORY_BLOCK = 256
 
 
 def _require_mc_samples(n_samples: int) -> None:
@@ -429,29 +430,57 @@ def structured_average_distance(
 def witness_trajectory(
     rho: BipartiteState,
     rho_deph: BipartiteState,
-    se: StructuredEvolution,
+    evolution: tuple[np.ndarray, np.ndarray],
     time_grid,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Witness distance along a time grid for one fixed evolution.
 
-    Returns ``(hs_distance, trace_distance)``, one entry per time. The
-    trace distance between the reduced evolved states is a diagnostic
-    (the quantity used by trace-distance-based detection schemes). Both
-    are norms of the one reduced difference Tr_E(U M U^dagger),
-    M = rho - rho_deph.
+    ``evolution`` is the pair ``(levels, W)`` of
+    :func:`dephwit.randmat.structured_evolution`, U(t) = W exp(-iEt) W^dagger
+    with E = levels. Returns ``(hs_distance, trace_distance)``, one entry
+    per time: norms of Y(t) = Tr_E(U(t) M U(t)^dagger), M = rho - rho_deph.
+    The trace distance is a diagnostic (the quantity used by
+    trace-distance-based detection schemes).
+
+    The eigenbasis W is fixed, so no U(t) is formed. With M' = W^dagger M W,
+    W_i the d_e x d block of W's rows with system index i,
+    K^ij = M' o (W_j^dagger W_i)^T (entrywise) and phi(t) = exp(-iEt),
+
+        Y_ij(t) = phi(t)^T K^ij conj(phi(t)),
+
+    d_s^2 d^2 per time. Each K^ij is formed in turn and applied to blocks
+    of b <= ``TRAJECTORY_BLOCK`` times: O(d^2 + d b) memory. When d_s > d_e,
+    Tr_E(V M' V^dagger) with V = W diag(phi(t)) costs less, d^3 + d_s d^2
+    per time, and is used instead (forming U M U^dagger costs 3 d^3). One
+    stacked eigensolve of all T matrices Y(t) gives the trace norms; the
+    stack and its eigenvectors hold 2 T d_s^2 complex entries.
     """
     m = _check_state_pair(rho, rho_deph)
-    if se.levels.size != rho.dim:
-        raise ValueError(f"evolution dimension {se.levels.size} does not match state dimension {rho.dim}")
+    levels, w = evolution
+    w = require_unitary(w, "eigvecs")
+    levels = np.asarray(levels, dtype=float)
+    if not np.isfinite(levels).all():
+        raise ValueError("levels must be finite")
+    if levels.shape != (w.shape[0],):
+        raise ValueError("levels length must match eigvecs dimension")
+    if levels.size != rho.dim:
+        raise ValueError(f"evolution dimension {levels.size} does not match state dimension {rho.dim}")
+    d_s, d_e = rho.d_s, rho.d_e
     times = np.asarray(time_grid, dtype=float).reshape(-1)
-    hs_vals = np.empty(times.size)
-    td_vals = np.empty(times.size)
-    for i, t in enumerate(times):
-        u = se.evolve(t)
-        red = partial_trace_env(u @ m @ dagger(u), rho.d_s, rho.d_e)
-        hs_vals[i] = hs_norm(red)
-        td_vals[i] = _half_trace_norm(red)
-    return hs_vals, td_vals
+    mp = dagger(w) @ m @ w
+    y = np.empty((times.size, d_s, d_s), dtype=complex)
+    if d_s > d_e:
+        for n, t in enumerate(times):
+            v = w * np.exp(-1j * t * levels)
+            y[n] = (v @ mp).reshape(d_s, -1) @ dagger(v.reshape(d_s, -1))
+    else:
+        rows = w.reshape(d_s, d_e, -1)
+        for i, j in np.ndindex(d_s, d_s):
+            k = (rows[i].T @ rows[j].conj()) * mp  # (W_j^dagger W_i)^T = W_i^T conj(W_j)
+            for s in range(0, times.size, TRAJECTORY_BLOCK):
+                phases = np.exp(-1j * np.multiply.outer(levels, times[s : s + TRAJECTORY_BLOCK]))
+                y[s : s + TRAJECTORY_BLOCK, i, j] = np.einsum("pt,pt->t", k @ phases.conj(), phases)
+    return hs_norm(y), _half_trace_norm(y)
 
 
 # ---------------------------------------------------------------------------
@@ -620,5 +649,6 @@ def choi_isotropic_check(
     return ChoiCheckResult(residual, mc_error, consts, n_samples)
 
 
-def _half_trace_norm(x: np.ndarray) -> float:
-    return 0.5 * float(np.abs(eig_hermitian(x)[0]).sum())
+def _half_trace_norm(x: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each Hermitian matrix in a (T, n, n) stack."""
+    return 0.5 * np.abs(eig_hermitian(x)[0]).sum(axis=-1)

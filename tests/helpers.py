@@ -57,6 +57,11 @@ def haar_np(rng: np.random.Generator, d: int) -> np.ndarray:
     return q / phases
 
 
+def evolution_np(levels, w: np.ndarray, t: float) -> np.ndarray:
+    """U(t) = W diag(exp(-i E_j t)) W^dagger, a dense d x d matrix."""
+    return (w * np.exp(-1j * t * np.asarray(levels, dtype=float))) @ w.conj().T
+
+
 def discord_oracle(rho: np.ndarray, d_s: int, d_e: int) -> tuple[float, np.ndarray]:
     """Hilbert-Schmidt discord and the dephased state, via numpy.linalg.eigh
     and explicit sums."""

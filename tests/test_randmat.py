@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from dephwit.linalg import dagger, hs_norm
+from dephwit.linalg import dagger
 from dephwit.randmat import (
     RngHandle,
     _gue_tridiagonal,
     SpectrumEnsemble,
-    StructuredEvolution,
     ginibre,
     haar_unitary,
     sample_spectrum,
     structured_evolution,
 )
+from dephwit.states import classical_state
+from dephwit.witness import witness_trajectory
 from helpers import gue_levels_np, np_rng
 
 
@@ -312,45 +313,20 @@ def test_ensemble_validation():
 # structured evolutions
 
 
-def _sample_evolution(seed=61, dim=4, kind="gue"):
-    return structured_evolution(SpectrumEnsemble(kind, dim), RngHandle(seed))
+@pytest.mark.parametrize("kind", ["gue", "poisson"])
+def test_structured_evolution_draws_eigenvectors_then_levels(kind):
+    ensemble = SpectrumEnsemble(kind, 6)
+    levels, w = structured_evolution(ensemble, RngHandle(61))
+    handle = RngHandle(61)
+    np.testing.assert_array_equal(w, haar_unitary(6, handle))
+    np.testing.assert_array_equal(levels, sample_spectrum(ensemble, handle))
+    assert np.abs(dagger(w) @ w - np.eye(6)).max() <= 1e-12
 
 
-def test_evolve_at_zero_is_identity():
-    se = _sample_evolution()
-    assert np.abs(se.evolve(0.0) - np.eye(4)).max() <= 1e-12
-
-
-def test_evolve_group_property():
-    se = _sample_evolution(62)
-    t, s = 0.8, 2.3
-    lhs = se.evolve(t) @ se.evolve(s)
-    rhs = se.evolve(t + s)
-    assert np.abs(lhs - rhs).max() <= 1e-10
-    np.testing.assert_allclose(dagger(se.evolve(t)), se.evolve(-t), atol=1e-12)
-
-
-def test_evolve_unitary_at_large_phase():
-    se = _sample_evolution(63)
-    t = 1e6 / np.abs(se.levels).max()
-    u = se.evolve(t)
-    assert np.abs(dagger(u) @ u - np.eye(4)).max() <= 1e-10
-
-
-def test_evolve_preserves_hs_norm():
-    se = _sample_evolution(64)
-    rng = np.random.default_rng(65)
-    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    u = se.evolve(1.7)
-    assert hs_norm(u @ x) == pytest.approx(hs_norm(x), abs=1e-10)
-    assert hs_norm(u @ x @ dagger(u)) == pytest.approx(hs_norm(x), abs=1e-10)
-
-
-def test_structured_evolution_validates_inputs():
-    with pytest.raises(ValueError):
-        StructuredEvolution(eigvecs=2.0 * np.eye(3), levels=np.zeros(3))
-    with pytest.raises(ValueError):
-        StructuredEvolution(eigvecs=np.eye(3), levels=np.zeros(2))
+def _trajectory_of(levels, w):
+    # a 2 x 1 state paired with itself: only the evolution can be rejected
+    state = classical_state([[0.3], [0.7]])
+    return witness_trajectory(state, state, (levels, w), [1.0])
 
 
 @pytest.mark.parametrize(
@@ -359,7 +335,7 @@ def test_structured_evolution_validates_inputs():
         (lambda: SpectrumEnsemble("poisson", 4, mean_spacing=np.inf), "mean_spacing must be positive and finite"),
         (lambda: SpectrumEnsemble("gue", 4, mean_spacing=np.nan), "mean_spacing must be positive and finite"),
         (lambda: SpectrumEnsemble("explicit", 2, explicit_levels=[0, np.nan]), "explicit_levels must be finite"),
-        (lambda: StructuredEvolution(np.eye(2), [0, np.inf]), "levels must be finite"),
+        (lambda: _trajectory_of([0, np.inf], np.eye(2)), "levels must be finite"),
     ],
     ids=["poisson-inf-spacing", "gue-nan-spacing", "explicit-nan-level", "evolution-inf-level"],
 )

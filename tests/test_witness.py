@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dephwit.dephasing import dephase_total
-from dephwit.linalg import dagger, hs_norm, partial_trace_env
+from dephwit.linalg import dagger, eig_hermitian, hs_norm, partial_trace_env
 from dephwit.randmat import (
     RngHandle,
     SpectrumEnsemble,
@@ -49,6 +49,7 @@ from dephwit.witness import (
 )
 from dephwit.weingarten import monomial_weights, weingarten_matrix, witness_means, witness_rows
 from helpers import (
+    evolution_np,
     gue_levels_np,
     haar_batch_np,
     haar_np,
@@ -745,16 +746,82 @@ def test_witness_trajectory_trace_distance_at_nonzero_times(d_s, d_e, rank):
     # half the summed |eigenvalues| of the reduced difference, from U = W e^{-iEt} W^dagger
     state = random_mixed(d_s, d_e, rank, RngHandle(144))
     deph = dephase_total(state)
-    se = structured_evolution(SpectrumEnsemble("gue", d_s * d_e), RngHandle(145))
+    levels, w = structured_evolution(SpectrumEnsemble("gue", d_s * d_e), RngHandle(145))
     times = np.array([0.4, 1.3, 2.9, 7.5])
-    _, trace_distance = witness_trajectory(state, deph, se, times)
+    _, trace_distance = witness_trajectory(state, deph, (levels, w), times)
     m = state.rho - deph.rho
     for t, td in zip(times, trace_distance):
-        u = (se.eigvecs * np.exp(-1j * t * se.levels)) @ se.eigvecs.conj().T
+        u = evolution_np(levels, w, t)
         red = ptrace_env_loops(u @ m @ u.conj().T, d_s, d_e)
         expected = 0.5 * np.abs(np.linalg.eigvalsh(red)).sum()
         assert expected > 1e-3
         assert abs(td - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["gue", "poisson", "explicit"])
+@pytest.mark.parametrize("d_s, d_e, rank", [(2, 2, 4), (3, 2, 1), (2, 16, 32), (2, 64, 1), (4, 2, 8)])
+def test_witness_trajectory_rows_match_the_dense_evolution(d_s, d_e, rank, kind):
+    # every row against U(t) = W e^{-iEt} W^dagger applied to M in numpy; the
+    # 3 x 2 and 4 x 2 shapes take the d_s > d_e route
+    d = d_s * d_e
+    state = random_mixed(d_s, d_e, rank, RngHandle(146 + d))
+    deph = dephase_total(state)
+    explicit = np_rng(147 + d).uniform(-d, d, size=d) if kind == "explicit" else None
+    levels, w = structured_evolution(SpectrumEnsemble(kind, d, explicit_levels=explicit), RngHandle(148))
+    times = np.array([0.0, 0.4, 1.3, 2.9, 7.5, 31.0])
+    hs_distance, trace_distance = witness_trajectory(state, deph, (levels, w), times)
+    m = state.rho - deph.rho
+    for t, hs, td in zip(times, hs_distance, trace_distance):
+        u = evolution_np(levels, w, t)
+        red = ptrace_env_loops(u @ m @ u.conj().T, d_s, d_e)
+        expected = np.array([hs_norm_np(red), 0.5 * np.abs(np.linalg.eigvalsh(red)).sum()])
+        if t == 0.0:
+            # Tr_E M, zero up to rounding for a dephasing pair
+            np.testing.assert_allclose([hs, td], expected, rtol=0.0, atol=1e-12)
+        else:
+            assert expected.min() > 1e-3
+            np.testing.assert_allclose([hs, td], expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[], [0.7], np.linspace(0.5, 40.0, witness.TRAJECTORY_BLOCK + 44)],
+    ids=["empty", "one-point", "two-blocks"],
+)
+def test_witness_trajectory_has_one_row_per_time(times):
+    state, deph = _pair(SQRT8, 2, 2)
+    levels, w = structured_evolution(SpectrumEnsemble("gue", 4), RngHandle(149))
+    hs_distance, trace_distance = witness_trajectory(state, deph, (levels, w), times)
+    assert hs_distance.shape == trace_distance.shape == (len(times),)
+    expected = [witness_distance(state, deph, evolution_np(levels, w, t)) for t in times]
+    np.testing.assert_allclose(hs_distance, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("steps", [1, 50, witness.TRAJECTORY_BLOCK + 1])
+def test_witness_trajectory_makes_one_stacked_eigensolve(monkeypatch, steps, d_s, d_e):
+    state = random_mixed(d_s, d_e, 2, RngHandle(151))
+    deph = dephase_total(state)
+    evolution = structured_evolution(SpectrumEnsemble("gue", d_s * d_e), RngHandle(150))
+    shapes = []
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return eig_hermitian(a)
+
+    monkeypatch.setattr(witness, "eig_hermitian", recording)
+    witness_trajectory(state, deph, evolution, np.linspace(0.0, 3.0, steps))
+    assert shapes == [(steps, d_s, d_s)]
+
+
+def test_witness_trajectory_forms_one_pair_block_at_a_time():
+    # all d_s^2 blocks K^ij at once take d_s^2 d^2 complex entries, 4 MiB at
+    # 8 x 8; one block is d^2, 64 KiB
+    state = random_mixed(8, 8, 64, RngHandle(152))
+    deph = dephase_total(state)
+    evolution = structured_evolution(SpectrumEnsemble("gue", 64), RngHandle(153))
+    times = np.linspace(0.0, 3.0, 20)
+    assert _traced_peak(lambda: witness_trajectory(state, deph, evolution, times)) < 512 * 1024
 
 
 def test_witness_trajectory_classical_flat():
@@ -769,6 +836,20 @@ def test_witness_trajectory_rejects_mismatched_evolution():
     se = structured_evolution(SpectrumEnsemble("poisson", 6), RngHandle(143))
     with pytest.raises(ValueError, match="evolution dimension 6 does not match state dimension 4"):
         witness_trajectory(state, deph, se, [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "levels, w, message",
+    [
+        (np.zeros(4), 2.0 * np.eye(4), "eigvecs is not unitary"),
+        (np.zeros(3), np.eye(4), "levels length must match eigvecs dimension"),
+    ],
+    ids=["non-unitary", "wrong-length-levels"],
+)
+def test_witness_trajectory_rejects_an_invalid_evolution(levels, w, message):
+    state, deph = _pair(SQRT8, 2, 2)
+    with pytest.raises(ValueError, match=message):
+        witness_trajectory(state, deph, (levels, w), [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
