@@ -3,10 +3,12 @@
 Usage: ``dephwit <command> --config <path> --output <path>
 [--format csv|json]``, the options before or after the command. The
 config file describes the experiment and the command line says where its
-results go. Every run is pinned by the file's seed: the master seed
-spawns fixed substreams for state generation, operator draws, and the
-Monte Carlo chunks, so identical configs produce byte-identical output
-files for any worker count.
+results go. The JSON results echo the config under ``config``, as
+``parse_config`` returns it; the JSON writer turns its arrays into lists
+and complex amplitudes into ``[re, im]`` pairs. Every run is pinned by
+the file's seed: the master seed spawns fixed substreams for state
+generation, operator draws, and the Monte Carlo chunks, so identical
+configs produce byte-identical output files for any worker count.
 Wall-clock timing goes to stderr only.
 A ``structured-average`` run with a fixed spectrum (quenched, or the
 explicit ensemble) has exact rows and draws nothing; its ``n_samples``
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, ConfigError, ExperimentConfig, parse_config
+from .config import COMMANDS, ConfigError, parse_config
 from .dephasing import CLASSICALITY_TOL, dephase_total, eigenbasis_of_marginal
 from .linalg import dagger, hs_norm
 from .randmat import RngHandle, SpectrumEnsemble, ginibre, structured_evolution
@@ -77,28 +79,30 @@ def _effective_workers() -> int:
     return 1
 
 
-def _build_state(config: ExperimentConfig, rng: RngHandle) -> BipartiteState:
-    if config.pure is not None:
-        return from_pure(config.pure, config.d_s, config.d_e)
-    if config.probabilities is not None:
-        return classical_state(config.probabilities)
-    return random_mixed(config.d_s, config.d_e, config.random_rank, rng)
+def _build_state(config: dict, rng: RngHandle) -> BipartiteState:
+    if "pure" in config:
+        return from_pure(config["pure"], config["d_S"], config["d_E"])
+    if "probabilities" in config:
+        return classical_state(config["probabilities"])
+    return random_mixed(config["d_S"], config["d_E"], config["random_rank"], rng)
 
 
-def _build_ensemble(config: ExperimentConfig) -> SpectrumEnsemble:
+def _build_ensemble(config: dict) -> SpectrumEnsemble:
+    # parse_config gives the explicit ensemble levels and no mean_spacing
+    spacing = {"mean_spacing": config["mean_spacing"]} if "mean_spacing" in config else {}
     return SpectrumEnsemble(
-        kind=config.ensemble_kind,
-        dim=config.d_s * config.d_e,
-        mean_spacing=config.mean_spacing,
-        explicit_levels=config.explicit_levels,
+        kind=config["ensemble"],
+        dim=config["d_S"] * config["d_E"],
+        explicit_levels=config.get("levels"),
+        **spacing,
     )
 
 
-def _time_grid(config: ExperimentConfig) -> np.ndarray:
-    return np.linspace(config.time_start, config.time_stop, config.time_steps)
+def _time_grid(config: dict) -> np.ndarray:
+    return np.linspace(config["time_start"], config["time_stop"], config["time_steps"])
 
 
-def _dephased_pair(config: ExperimentConfig, rng: RngHandle):
+def _dephased_pair(config: dict, rng: RngHandle):
     """The state, its dephased image, the degeneracy flag and the discord delta."""
     state = _build_state(config, rng)
     basis, degenerate = eigenbasis_of_marginal(state)
@@ -118,7 +122,7 @@ def _safe_z(mean: float, std_error: float, reference: float) -> float:
     return (mean - reference) / std_error
 
 
-def _run_discord(config: ExperimentConfig, master: RngHandle, workers: int):
+def _run_discord(config: dict, master: RngHandle, workers: int):
     state, deph, degenerate, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
     return {
         "delta": delta,
@@ -130,7 +134,7 @@ def _run_discord(config: ExperimentConfig, master: RngHandle, workers: int):
     }
 
 
-def _run_witness_trajectory(config: ExperimentConfig, master: RngHandle, workers: int):
+def _run_witness_trajectory(config: dict, master: RngHandle, workers: int):
     state, deph, _, _ = _dephased_pair(config, master.derive(_STATE_STREAM))
     se = structured_evolution(_build_ensemble(config), master.derive(_OPERATOR_STREAM))
     times = _time_grid(config)
@@ -141,13 +145,13 @@ def _run_witness_trajectory(config: ExperimentConfig, master: RngHandle, workers
     ]
 
 
-def _run_haar_average(config: ExperimentConfig, master: RngHandle, workers: int):
+def _run_haar_average(config: dict, master: RngHandle, workers: int):
     state, deph, _, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
     est = haar_average_distance_sq(
-        state, deph, config.n_samples, master.derive(_MC_STREAM), workers=workers
+        state, deph, config["n_samples"], master.derive(_MC_STREAM), workers=workers
     )
     rms, rms_err = est.rms()
-    predicted_sq = haar_witness_prefactor_sq(config.d_s, config.d_e) * delta**2
+    predicted_sq = haar_witness_prefactor_sq(config["d_S"], config["d_E"]) * delta**2
     return {
         "mean_sq": est.mean,
         "std_error": est.std_error,
@@ -161,12 +165,12 @@ def _run_haar_average(config: ExperimentConfig, master: RngHandle, workers: int)
     }
 
 
-def _run_theorem_check(config: ExperimentConfig, master: RngHandle, workers: int):
-    d = config.d_s * config.d_e
+def _run_theorem_check(config: dict, master: RngHandle, workers: int):
+    d = config["d_S"] * config["d_E"]
     g = ginibre(d, master.derive(_OPERATOR_STREAM))
     m = 0.5 * (g + dagger(g))
     est, rhs = theorem_mc_check(
-        m, config.d_s, config.d_e, config.n_samples, master.derive(_MC_STREAM), workers=workers
+        m, config["d_S"], config["d_E"], config["n_samples"], master.derive(_MC_STREAM), workers=workers
     )
     return {
         "mc_mean": est.mean,
@@ -177,15 +181,15 @@ def _run_theorem_check(config: ExperimentConfig, master: RngHandle, workers: int
     }
 
 
-def _run_lemma_check(config: ExperimentConfig, master: RngHandle, workers: int):
-    d = config.d_s * config.d_e
+def _run_lemma_check(config: dict, master: RngHandle, workers: int):
+    d = config["d_S"] * config["d_E"]
     ops = master.derive(_OPERATOR_STREAM)
     a_op = ginibre(d, ops)
     b_op = ginibre(d, ops)
     x = ginibre(d, ops)
     consts = twirl_constants(a_op, b_op)
     mean, stderr = twirl_mc(
-        a_op, b_op, x, config.n_samples, master.derive(_MC_STREAM),
+        a_op, b_op, x, config["n_samples"], master.derive(_MC_STREAM),
         workers=workers, return_stderr=True,
     )
     exact = consts.a * np.trace(x) * np.eye(d) + consts.b * x
@@ -198,17 +202,17 @@ def _run_lemma_check(config: ExperimentConfig, master: RngHandle, workers: int):
         "b_imag": consts.b.imag,
         "max_abs_error": float(deviation.max()),
         "max_z_score": float(z.max()),
-        "n_samples": config.n_samples,
+        "n_samples": config["n_samples"],
     }
 
 
-def _run_choi_check(config: ExperimentConfig, master: RngHandle, workers: int):
-    d = config.d_s * config.d_e
+def _run_choi_check(config: dict, master: RngHandle, workers: int):
+    d = config["d_S"] * config["d_E"]
     ops = master.derive(_OPERATOR_STREAM)
     a_op = ginibre(d, ops)
     b_op = ginibre(d, ops)
     result = choi_isotropic_check(
-        a_op, b_op, config.n_samples, master.derive(_MC_STREAM), workers=workers
+        a_op, b_op, config["n_samples"], master.derive(_MC_STREAM), workers=workers
     )
     ratio = result.residual / result.mc_error if result.mc_error > 0.0 else 0.0
     return {
@@ -223,13 +227,13 @@ def _run_choi_check(config: ExperimentConfig, master: RngHandle, workers: int):
     }
 
 
-def _run_structured_average(config: ExperimentConfig, master: RngHandle, workers: int):
+def _run_structured_average(config: dict, master: RngHandle, workers: int):
     state, deph, _, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
     ensemble = _build_ensemble(config)
     times = _time_grid(config)
     estimates = structured_average_grid(
-        state, deph, ensemble, times, config.n_samples, master.derive(_MC_STREAM),
-        workers=workers, redraw_spectrum=config.spectrum_mode == "annealed",
+        state, deph, ensemble, times, config["n_samples"], master.derive(_MC_STREAM),
+        workers=workers, redraw_spectrum=config["spectrum_mode"] == "annealed",
     )
     rows = []
     for t, est in zip(times, estimates):
@@ -259,23 +263,23 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> dict:
+def run(config: dict) -> dict:
     """Execute one validated config and return the output record.
 
     The record holds only deterministic fields, so repeated runs of one
     config serialize byte-identically. Raises ValueError when a result
     is not finite, which neither output format can hold.
     """
-    results = _RUNNERS[config.command](config, RngHandle(config.seed), _effective_workers())
+    results = _RUNNERS[config["command"]](config, RngHandle(config["seed"]), _effective_workers())
     rows = [results] if isinstance(results, dict) else results
     bad = sorted({key for row in rows for key, value in row.items() if not math.isfinite(value)})
     if bad:
         raise ValueError(f"results are not finite: {', '.join(bad)}")
     return {
-        "command": config.command,
-        "config": config.to_dict(),
+        "command": config["command"],
+        "config": config,
         "version": __version__,
-        "seed": config.seed,
+        "seed": config["seed"],
         "results": results,
     }
 
@@ -307,8 +311,16 @@ def render_csv(results: dict | list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_array(value: np.ndarray) -> list:
+    """The JSON form of an array in the config echo: a (nested) list, with
+    complex amplitudes as [re, im] pairs."""
+    if np.iscomplexobj(value):
+        value = np.stack([value.real, value.imag], axis=-1)
+    return value.tolist()
+
+
 def render_json(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(record, indent=2, sort_keys=True, allow_nan=False, default=_plain_array) + "\n"
 
 
 def write_output(record: dict, path: str, fmt: str) -> None:
@@ -361,11 +373,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return 1
-    exact = config.command == "structured-average" and (
-        config.ensemble_kind == "explicit" or config.spectrum_mode == "quenched"
+    exact = config["command"] == "structured-average" and (
+        config["ensemble"] == "explicit" or config["spectrum_mode"] == "quenched"
     )
     print(
-        f"{config.command}: wrote {args.output} in {duration:.3f}s (seed {config.seed})"
+        f"{config['command']}: wrote {args.output} in {duration:.3f}s (seed {config['seed']})"
         + ("; rows exact, n_samples unused" if exact else ""),
         file=sys.stderr,
     )

@@ -8,7 +8,9 @@ check, default and the commands that accept or require it, and the
 command itself comes from the caller (the CLI subcommand). Where the
 results go, their format and the worker count are not experiment
 settings and have no keys. Unknown keys are rejected, and every problem
-is reported, in no fixed order.
+is reported, in no fixed order. ``parse_config`` returns the experiment
+as a plain dict under the file's key names; the CLI runs it and echoes
+it into the results file.
 """
 
 from __future__ import annotations
@@ -41,42 +43,6 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated run description for every CLI command; see ``KEYS``."""
-
-    command: str
-    d_s: int
-    d_e: int
-    seed: int
-    pure: np.ndarray | None
-    probabilities: np.ndarray | None
-    random_rank: int | None
-    ensemble_kind: str | None
-    mean_spacing: float
-    explicit_levels: np.ndarray | None
-    time_start: float | None
-    time_stop: float | None
-    time_steps: int | None
-    n_samples: int | None
-    spectrum_mode: str
-
-    def to_dict(self) -> dict:
-        """JSON-safe echo of the experiment definition: the command and
-        each set key of ``KEYS`` that the command accepts
-        (``mean_spacing`` only with the poisson and gue ensembles)."""
-        out: dict[str, Any] = {"command": self.command}
-        for key in KEYS:
-            value = getattr(self, key.field)
-            if isinstance(value, np.ndarray) and np.iscomplexobj(value):
-                value = np.stack([value.real, value.imag], axis=-1)  # amplitudes as [re, im] pairs
-            if key.name == "mean_spacing" and self.ensemble_kind == "explicit":
-                continue  # explicit levels are used unscaled
-            if self.command in key.commands and value is not None:
-                out[key.name] = value.tolist() if isinstance(value, np.ndarray) else value
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +108,11 @@ def parse_value(raw: str):
 
 @dataclass(frozen=True)
 class Key:
-    """One file key: the `ExperimentConfig` field it sets; ``check`` returns
-    the value or raises ValueError with the message; every command in
-    ``commands`` accepts the key and, when ``required``, needs it."""
+    """One file key: ``check`` returns the value or raises ValueError with
+    the message; every command in ``commands`` accepts the key and, when
+    ``required``, needs it; ``default`` stands in when the file omits it."""
 
     name: str
-    field: str
     check: Callable[[Any], Any]
     commands: tuple[str, ...]
     required: bool = False
@@ -227,35 +192,39 @@ _STATE = ("discord", "witness-trajectory", "haar-average", "structured-average")
 _EVOLUTION = ("witness-trajectory", "structured-average")
 
 KEYS = (
-    Key("d_S", "d_s", _integer(1), COMMANDS, required=True),
-    Key("d_E", "d_e", _integer(1), COMMANDS, required=True),
-    Key("seed", "seed", _integer(0, SEED_MAX), COMMANDS, required=True),
+    Key("d_S", _integer(1), COMMANDS, required=True),
+    Key("d_E", _integer(1), COMMANDS, required=True),
+    Key("seed", _integer(0, SEED_MAX), COMMANDS, required=True),
     # the state: exactly one of these three
-    Key("pure", "pure", _amplitudes, _STATE),
-    Key("probabilities", "probabilities", _table, _STATE),
-    Key("random_rank", "random_rank", _integer(1), _STATE),
+    Key("pure", _amplitudes, _STATE),
+    Key("probabilities", _table, _STATE),
+    Key("random_rank", _integer(1), _STATE),
     # the structured evolution and its time grid
-    Key("ensemble", "ensemble_kind", _choice(ENSEMBLE_KINDS), _EVOLUTION, required=True),
-    Key("mean_spacing", "mean_spacing", _real(positive=True), _EVOLUTION, default=1.0),
-    Key("levels", "explicit_levels", _real_list, _EVOLUTION),
-    Key("time_start", "time_start", _real(), _EVOLUTION, required=True),
-    Key("time_stop", "time_stop", _real(), _EVOLUTION, required=True),
-    Key("time_steps", "time_steps", _integer(1), _EVOLUTION, required=True),
+    Key("ensemble", _choice(ENSEMBLE_KINDS), _EVOLUTION, required=True),
+    Key("mean_spacing", _real(positive=True), _EVOLUTION, default=1.0),
+    Key("levels", _real_list, _EVOLUTION),
+    Key("time_start", _real(), _EVOLUTION, required=True),
+    Key("time_stop", _real(), _EVOLUTION, required=True),
+    Key("time_steps", _integer(1), _EVOLUTION, required=True),
     # Monte Carlo
-    Key("n_samples", "n_samples", _integer(2),
+    Key("n_samples", _integer(2),
         ("haar-average", "theorem-check", "lemma-check", "choi-check", "structured-average"),
         required=True),
-    Key("spectrum_mode", "spectrum_mode", _choice(SPECTRUM_MODES), ("structured-average",),
-        default="annealed"),
+    Key("spectrum_mode", _choice(SPECTRUM_MODES), ("structured-average",), default="annealed"),
 )
 
 _KEY = {key.name: key for key in KEYS}
 
 
-def parse_config(text: str, command: str) -> ExperimentConfig:
+def parse_config(text: str, command: str) -> dict[str, Any]:
     """Parse and validate a config file for ``command``, one of
-    ``COMMANDS``; raises ConfigError with all problems."""
+    ``COMMANDS``; raises ConfigError with all problems.
+
+    Returns the experiment as a plain dict keyed by file key: ``command``
+    plus each key the command accepts that the file sets or that has a
+    default, its value as checked (lists as numpy arrays)."""
     errors: list[str] = []
+    given: set[str] = set()  # every key a line sets, whether or not its value parses
     entries: dict[str, Any] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -267,39 +236,42 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
             errors.append(f"line {lineno}: expected 'key = value'")
         elif key not in _KEY:
             errors.append(f"{key}: unknown key (line {lineno})")
-        elif key in entries:
+        elif key in given:
             errors.append(f"{key}: duplicate key (line {lineno})")
         else:
+            given.add(key)
             try:
                 entries[key] = parse_value(raw_value)
             except ValueError as exc:
                 errors.append(f"{key}: {exc} (line {lineno})")
 
-    # a key that fails its check keeps its default, which no check below reads
-    values = {key.field: key.default for key in KEYS}
+    # a key that fails to parse or check keeps its default, which no check below reads
+    values = {key.name: key.default for key in KEYS}
     for key in KEYS:
-        if key.name not in entries:
+        if key.name not in given:
             if key.required and command in key.commands:
                 by = "" if key.commands == COMMANDS else f" by command '{command}'"
                 errors.append(f"{key.name}: required{by}")
             continue
         if command not in key.commands:
             errors.append(f"{key.name}: not used by command '{command}'")
+        if key.name not in entries:
+            continue
         try:
-            values[key.field] = key.check(entries[key.name])
+            values[key.name] = key.check(entries[key.name])
         except (ValueError, OverflowError) as exc:  # an integer too large for a float overflows
             errors.append(f"{key.name}: {exc}")
 
-    config = ExperimentConfig(command=command, **values)
-    dim = config.d_s * config.d_e if (config.d_s and config.d_e) else None
-    given = sorted({"pure", "probabilities", "random_rank"} & entries.keys())
+    d_s, d_e = values["d_S"], values["d_E"]
+    dim = d_s * d_e if (d_s and d_e) else None
+    states = sorted({"pure", "probabilities", "random_rank"} & given)
     if command in _STATE:
-        if not given:
+        if not states:
             errors.append("state_spec: give exactly one of pure, probabilities, random_rank")
-        elif len(given) > 1:
-            errors.append(f"state_spec: ambiguous: {' and '.join(given)} are mutually exclusive")
+        elif len(states) > 1:
+            errors.append(f"state_spec: ambiguous: {' and '.join(states)} are mutually exclusive")
 
-    pure, probabilities, levels = config.pure, config.probabilities, config.explicit_levels
+    pure, probabilities, levels = values["pure"], values["probabilities"], values["levels"]
     if pure is not None and dim is not None:
         if pure.size != dim:
             errors.append(f"pure: needs {dim} amplitudes, got {pure.size}")
@@ -308,30 +280,34 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
             if abs(norm - 1.0) > STATE_TOL:
                 errors.append(f"pure: vector is not normalized (norm {norm!r})")
     if probabilities is not None and dim is not None:
-        if probabilities.shape != (config.d_s, config.d_e):
+        if probabilities.shape != (d_s, d_e):
             got = " x ".join(map(str, probabilities.shape))
-            errors.append(f"probabilities: table must be {config.d_s} x {config.d_e}, got {got}")
+            errors.append(f"probabilities: table must be {d_s} x {d_e}, got {got}")
         elif np.any(probabilities < 0.0):
             errors.append("probabilities: entries must be nonnegative")
         elif abs(float(probabilities.sum()) - 1.0) > STATE_TOL:
             total = float(probabilities.sum())
             errors.append(f"probabilities: entries sum to {total!r}, expected 1")
-    if config.random_rank is not None and dim is not None and config.random_rank > dim:
+    if values["random_rank"] is not None and dim is not None and values["random_rank"] > dim:
         errors.append(f"random_rank: must be at most d_S*d_E = {dim}")
 
-    if config.ensemble_kind == "explicit":
-        if levels is None and "levels" not in entries:
+    if values["ensemble"] == "explicit":
+        if "levels" not in given:
             errors.append("levels: required by the explicit ensemble")
         elif levels is not None and dim is not None and levels.size != dim:
             errors.append(f"levels: needs {dim} levels, got {levels.size}")
-        if "mean_spacing" in entries:
+        # explicit levels are used unscaled: no mean_spacing, not even its default
+        if "mean_spacing" in given:
             errors.append("mean_spacing: only meaningful for the poisson and gue ensembles")
-    elif levels is not None:
+        values["mean_spacing"] = None
+    elif "levels" in given:
         errors.append("levels: only meaningful for the explicit ensemble")
-    start, stop = config.time_start, config.time_stop
-    if config.time_steps == 1 and None not in (start, stop) and stop != start:
+    start, stop = values["time_start"], values["time_stop"]
+    if values["time_steps"] == 1 and None not in (start, stop) and stop != start:
         errors.append(f"time_steps: 1 keeps only time_start {start!r}, not time_stop {stop!r}")
 
     if errors:
         raise ConfigError(errors)
-    return config
+    return {"command": command} | {
+        key.name: values[key.name] for key in KEYS if command in key.commands and values[key.name] is not None
+    }

@@ -75,10 +75,10 @@ def partial_trace_env(x: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
 
 
 def hs_norm_sq(a: np.ndarray):
-    """Squared Hilbert-Schmidt norm, clipped to be nonnegative."""
+    """Squared Hilbert-Schmidt norm Tr a^dagger a."""
     a = np.asarray(a, dtype=complex)
     val = np.real(np.einsum("...ij,...ij->...", np.conj(a), a))
-    return float(max(val, 0.0)) if val.ndim == 0 else np.maximum(val, 0.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def hs_norm(a: np.ndarray):

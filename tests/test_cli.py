@@ -48,6 +48,21 @@ n_samples = 1100
 
 CONFIGS = {"gue": GUE_CONFIG, "poisson": POISSON_CONFIG}
 
+# the results-file echo of each config: the mean_spacing default is echoed too
+ECHOES = {
+    "gue": {
+        "command": "structured-average", "d_S": 2, "d_E": 2, "seed": 11,
+        "pure": [[0.8, 0.0], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0]],
+        "ensemble": "gue", "mean_spacing": 1.0, "spectrum_mode": "annealed",
+        "time_start": 0.0, "time_stop": 2.0, "time_steps": 3, "n_samples": 1100,
+    },
+    "poisson": {
+        "command": "structured-average", "d_S": 2, "d_E": 2, "seed": 12,
+        "random_rank": 3, "ensemble": "poisson", "mean_spacing": 1.0, "spectrum_mode": "quenched",
+        "time_start": 0.0, "time_stop": 3.0, "time_steps": 4, "n_samples": 1100,
+    },
+}
+
 
 def _run(tmp_path, name, text, *extra, command="structured-average"):
     cfg = tmp_path / f"{name}.cfg"
@@ -71,6 +86,7 @@ def test_structured_average_output_is_identical_for_any_worker_count(tmp_path, m
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
+    assert json.loads(outputs[0])["config"] == ECHOES[kind]
     rows = json.loads(outputs[0])["results"]
     zero = rows[0]
     assert zero["t"] == 0.0
@@ -175,6 +191,7 @@ def test_twirl_checks_are_identical_for_any_worker_count_and_match_a_direct_call
     expected = DIRECT[command](13, 1100)
     record = json.loads(outputs["json"])
     assert (record["command"], record["seed"]) == (command, 13)
+    assert record["config"] == {"command": command, "d_S": 2, "d_E": 2, "seed": 13, "n_samples": 1100}
     assert record["results"] == expected
     lines = outputs["csv"].splitlines()
     assert lines[0] == "key,value"
@@ -443,6 +460,10 @@ CONFIG_ERRORS = [
     ("theorem-check", CHECK + " = 3\n", "line 5: expected 'key = value'"),
     ("theorem-check", CHECK + "colour = red\n", "colour: unknown key (line 5)"),
     ("theorem-check", CHECK + "seed = 2\n", "seed: duplicate key (line 5)"),
+    # a value that fails to parse still counts as given
+    ("theorem-check", "d_S = 2\nd_E = 2\nseed = [1\nn_samples = 4\n", "seed: unterminated array (line 3)"),
+    ("discord", DIMS + "pure = [0.6, 0, 0.48i\n", "pure: unterminated array (line 4)"),
+    ("witness-trajectory", EXPLICIT + "levels = [0, 1, 2\n", "levels: unterminated array (line 9)"),
     ("witness-trajectory", TRAJECTORY + "mean_spacing = [4\n", "mean_spacing: unterminated array (line 9)"),
     ("witness-trajectory", TRAJECTORY + "mean_spacing = 4]\n", "mean_spacing: unbalanced brackets (line 9)"),
     ("witness-trajectory", TRAJECTORY + "mean_spacing = [[4]\n", "mean_spacing: unbalanced brackets (line 9)"),
@@ -565,6 +586,27 @@ def test_a_multi_error_config_reports_every_message_in_any_order(tmp_path, capsy
             "levels: only meaningful for the explicit ensemble",
         ]
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, messages", [
+    (
+        "theorem-check", "d_S = 2\nd_E = 2\nseed = [1\nn_samples = 4\nseed = 2\n",
+        ["seed: unterminated array (line 3)", "seed: duplicate key (line 5)"],
+    ),
+    (
+        "theorem-check", CHECK + "pure = [1, 0\n",
+        ["pure: unterminated array (line 5)", "pure: not used by command 'theorem-check'"],
+    ),
+    (
+        "witness-trajectory", TRAJECTORY + "levels = [0, 1\n",
+        ["levels: unterminated array (line 9)", "levels: only meaningful for the explicit ensemble"],
+    ),
+])
+def test_a_key_whose_value_fails_to_parse_still_counts_as_given(tmp_path, capsys, command, text, messages):
+    code, out = _run(tmp_path, "bad", text, command=command)
+    assert code == 2
+    assert sorted(capsys.readouterr().err.splitlines()) == sorted(f"config error: {m}" for m in messages)
     assert not out.exists()
 
 
