@@ -10,8 +10,9 @@ the file's seed: the master seed spawns fixed substreams for state
 generation, operator draws, and the Monte Carlo chunks, so identical
 configs produce byte-identical output files for any worker count.
 Wall-clock timing goes to stderr only.
-A ``structured-average`` run with a fixed spectrum (quenched, or the
-explicit ensemble) has exact rows and draws nothing; its ``n_samples``
+A ``structured-average`` run with a fixed spectrum has exact rows: the
+explicit ensemble's levels, or in ``quenched`` mode one Poisson or GUE
+spectrum drawn once and then used as an explicit one. Its ``n_samples``
 is still required but unused, and the stderr line says so.
 ``lemma-check`` and ``choi-check`` sample only the traceless parts of
 their operators A and B and add the identity parts exactly. The identity
@@ -44,7 +45,7 @@ from . import __version__
 from .config import COMMANDS, ConfigError, parse_config
 from .dephasing import CLASSICALITY_TOL, dephase_total, eigenbasis_of_marginal
 from .linalg import dagger, hs_norm
-from .randmat import RngHandle, SpectrumEnsemble, ginibre, structured_evolution
+from .randmat import RngHandle, SpectrumEnsemble, ginibre, sample_spectrum, structured_evolution
 from .states import BipartiteState, classical_state, from_pure, purity, random_mixed
 from .witness import (
     choi_isotropic_check,
@@ -88,14 +89,7 @@ def _build_state(config: dict, rng: RngHandle) -> BipartiteState:
 
 
 def _build_ensemble(config: dict) -> SpectrumEnsemble:
-    # parse_config gives the explicit ensemble levels and no mean_spacing
-    spacing = {"mean_spacing": config["mean_spacing"]} if "mean_spacing" in config else {}
-    return SpectrumEnsemble(
-        kind=config["ensemble"],
-        dim=config["d_S"] * config["d_E"],
-        explicit_levels=config.get("levels"),
-        **spacing,
-    )
+    return SpectrumEnsemble(config["ensemble"], config["d_S"] * config["d_E"], config.get("levels"))
 
 
 def _time_grid(config: dict) -> np.ndarray:
@@ -230,11 +224,12 @@ def _run_choi_check(config: dict, master: RngHandle, workers: int):
 def _run_structured_average(config: dict, master: RngHandle, workers: int):
     state, deph, _, delta = _dephased_pair(config, master.derive(_STATE_STREAM))
     ensemble = _build_ensemble(config)
+    mc = master.derive(_MC_STREAM)
+    if config["spectrum_mode"] == "quenched":
+        # one spectrum from the Monte Carlo stream's substream 1, kept for every row
+        ensemble = SpectrumEnsemble("explicit", ensemble.dim, sample_spectrum(ensemble, mc.derive(1)))
     times = _time_grid(config)
-    estimates = structured_average_grid(
-        state, deph, ensemble, times, config["n_samples"], master.derive(_MC_STREAM),
-        workers=workers, redraw_spectrum=config["spectrum_mode"] == "annealed",
-    )
+    estimates = structured_average_grid(state, deph, ensemble, times, config["n_samples"], mc, workers=workers)
     rows = []
     for t, est in zip(times, estimates):
         rms, rms_err = est.rms()

@@ -7,10 +7,11 @@ A file describes one experiment: ``KEYS`` lists every key with its
 check, default and the commands that accept or require it, and the
 command itself comes from the caller (the CLI subcommand). Where the
 results go, their format and the worker count are not experiment
-settings and have no keys. Unknown keys are rejected, and every problem
-is reported, in no fixed order. ``parse_config`` returns the experiment
-as a plain dict under the file's key names; the CLI runs it and echoes
-it into the results file.
+settings and have no keys; nor has the level spacing, which is the unit
+of ``time_start`` and ``time_stop`` (see ``SpectrumEnsemble``). Unknown
+keys are rejected, and every problem is reported, in no fixed order.
+``parse_config`` returns the experiment as a plain dict under the file's
+key names; the CLI runs it and echoes it into the results file.
 """
 
 from __future__ import annotations
@@ -132,18 +133,13 @@ def _integer(minimum: int, maximum: int | None = None):
     return check
 
 
-def _real(positive: bool = False):
-    def check(value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"expected a real number, got {value!r}")
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValueError("must be finite")
-        if positive and value <= 0.0:
-            raise ValueError("must be positive")
-        return value
-
-    return check
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a real number, got {value!r}")
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _choice(options: tuple[str, ...]):
@@ -201,10 +197,9 @@ KEYS = (
     Key("random_rank", _integer(1), _STATE),
     # the structured evolution and its time grid
     Key("ensemble", _choice(ENSEMBLE_KINDS), _EVOLUTION, required=True),
-    Key("mean_spacing", _real(positive=True), _EVOLUTION, default=1.0),
     Key("levels", _real_list, _EVOLUTION),
-    Key("time_start", _real(), _EVOLUTION, required=True),
-    Key("time_stop", _real(), _EVOLUTION, required=True),
+    Key("time_start", _real, _EVOLUTION, required=True),
+    Key("time_stop", _real, _EVOLUTION, required=True),
     Key("time_steps", _integer(1), _EVOLUTION, required=True),
     # Monte Carlo
     Key("n_samples", _integer(2),
@@ -296,10 +291,6 @@ def parse_config(text: str, command: str) -> dict[str, Any]:
             errors.append("levels: required by the explicit ensemble")
         elif levels is not None and dim is not None and levels.size != dim:
             errors.append(f"levels: needs {dim} levels, got {levels.size}")
-        # explicit levels are used unscaled: no mean_spacing, not even its default
-        if "mean_spacing" in given:
-            errors.append("mean_spacing: only meaningful for the poisson and gue ensembles")
-        values["mean_spacing"] = None
     elif "levels" in given:
         errors.append("levels: only meaningful for the explicit ensemble")
     start, stop = values["time_start"], values["time_stop"]

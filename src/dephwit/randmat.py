@@ -118,16 +118,18 @@ class SpectrumEnsemble:
     """Rule for generating real spectra with prescribed level statistics.
 
     kind:
-      poisson   iid exponential spacings (regular level statistics)
+      poisson   iid exponential spacings of unit mean (regular level
+                statistics)
       gue       GUE eigenvalues, rescaled to unit mean spacing over the
                 middle 80% of levels (chaotic, level-repelling statistics)
-      explicit  a fixed list of levels
-    ``mean_spacing`` rescales poisson/gue output.
+      explicit  a fixed list of levels, ``explicit_levels``
+    The unit level spacing is the time unit: the witness sees the levels
+    only through exp(-iEt), so levels mu E at time t act as E at time mu t.
+    A quenched spectrum, drawn once and kept, is an explicit one.
     """
 
     kind: str
     dim: int
-    mean_spacing: float = 1.0
     explicit_levels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -135,20 +137,21 @@ class SpectrumEnsemble:
             raise ValueError(f"unknown ensemble kind: {self.kind!r}")
         if self.dim < 1:
             raise ValueError("ensemble dimension must be at least 1")
-        if not 0.0 < self.mean_spacing < math.inf:
-            raise ValueError("mean_spacing must be positive and finite")
-        if self.kind == "explicit":
-            if self.explicit_levels is None:
-                raise ValueError("explicit ensemble requires explicit_levels")
-            levels = np.asarray(self.explicit_levels, dtype=float)
-            if not np.isfinite(levels).all():
-                raise ValueError("explicit_levels must be finite")
-            if levels.shape != (self.dim,):
-                raise ValueError(f"explicit_levels must have length {self.dim}, got {levels.shape}")
-            object.__setattr__(self, "explicit_levels", np.sort(levels))
+        if self.kind != "explicit":
+            if self.explicit_levels is not None:
+                raise ValueError("explicit_levels are only for the explicit ensemble")
+            return
+        if self.explicit_levels is None:
+            raise ValueError("explicit ensemble requires explicit_levels")
+        levels = np.asarray(self.explicit_levels, dtype=float)
+        if not np.isfinite(levels).all():
+            raise ValueError("explicit_levels must be finite")
+        if levels.shape != (self.dim,):
+            raise ValueError(f"explicit_levels must have length {self.dim}, got {levels.shape}")
+        object.__setattr__(self, "explicit_levels", np.sort(levels))
 
 
-def _rescale_bulk(levels: np.ndarray, mean_spacing: float) -> np.ndarray:
+def _rescale_bulk(levels: np.ndarray) -> np.ndarray:
     # ceil(0.9 d) - floor(0.1 d) >= 2 for d >= 2, so the window holds a spacing
     d = levels.shape[-1]
     if d < 2:
@@ -156,7 +159,7 @@ def _rescale_bulk(levels: np.ndarray, mean_spacing: float) -> np.ndarray:
     lo = int(math.floor(0.1 * d))
     hi = int(math.ceil(0.9 * d))
     bulk = np.diff(levels[..., lo:hi], axis=-1).mean(axis=-1)
-    return levels * (mean_spacing / bulk)[..., None]
+    return levels * (1.0 / bulk)[..., None]  # not levels / bulk, which rounds differently
 
 
 def _gue_tridiagonal(d: int, rng: RngHandle, size: int | None = None) -> np.ndarray:
@@ -180,8 +183,10 @@ def sample_spectrum(
 ) -> np.ndarray:
     """Draw one spectrum (or a stack of ``size``), sorted ascending.
 
-    GUE levels are the eigenvalues of the real tridiagonal model, then
-    rescaled as :class:`SpectrumEnsemble` says.
+    Poisson and GUE spectra have unit mean spacing (the GUE one over the
+    middle 80% of levels), so the spacing is the unit of time. GUE levels
+    are the eigenvalues of the real tridiagonal model, rescaled. An
+    explicit ensemble returns copies of its levels and draws nothing.
     """
     d = ensemble.dim
     shape = (d,) if size is None else (int(size), d)
@@ -190,10 +195,9 @@ def sample_spectrum(
         return levels.copy() if size is None else np.broadcast_to(levels, shape).copy()
     if ensemble.kind == "poisson":
         u = rng.uniform(shape)
-        spacings = -ensemble.mean_spacing * np.log1p(-u)
-        return np.cumsum(spacings, axis=-1)
+        return np.cumsum(-np.log1p(-u), axis=-1)
     levels = np.linalg.eigvalsh(_gue_tridiagonal(d, rng, size))
-    return _rescale_bulk(levels, ensemble.mean_spacing)
+    return _rescale_bulk(levels)
 
 
 def structured_evolution(ensemble: SpectrumEnsemble, rng: RngHandle) -> tuple[np.ndarray, np.ndarray]:

@@ -356,6 +356,15 @@ def theorem_mc_check(
     return _haar_mean_sq(m, d_s, d_e, n_samples, rng, workers), rhs
 
 
+def _finite_times(time_grid) -> np.ndarray:
+    """The time grid as a flat float array; a NaN or infinite time is
+    rejected here, before it reaches an eigensolver or a row."""
+    times = np.asarray(time_grid, dtype=float).reshape(-1)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    return times
+
+
 def structured_average_grid(
     rho: BipartiteState,
     rho_deph: BipartiteState,
@@ -364,7 +373,6 @@ def structured_average_grid(
     n_samples: int,
     rng: RngHandle,
     workers: int = 1,
-    redraw_spectrum: bool = True,
 ) -> list[McEstimate]:
     """Average squared witness under W exp(-iDt) W^dagger along a time grid.
 
@@ -372,18 +380,19 @@ def structured_average_grid(
     r(M) Wg c(D, t) of :mod:`dephwit.weingarten`, M = rho - rho_deph. For a
     dephasing pair r(M) is delta^2 times one fixed vector, so the average is
     exactly delta^2 K(d_s, d_e, D, t), the ensemble analogue of the Haar
-    proportionality. A fixed D (quenched, frozen once from rng.derive(1), or
-    ``explicit``) gives exact rows ``McEstimate(value, 0.0, n_samples)``
-    that draw nothing; ``n_samples`` only labels them. Annealed rows are a
-    Monte Carlo over spectra alone, each sample the exact mean over W; all
-    times share the spectra, so those rows are correlated and must not be
-    combined as independent estimates. Rows with t = 0 are exactly zero.
+    proportionality. A fixed D, i.e. an explicit spectrum, gives exact rows
+    ``McEstimate(value, 0.0, n_samples)`` that draw nothing; ``n_samples``
+    only labels them. A quenched spectrum is a sampled one passed in as
+    explicit. Poisson and GUE rows are a Monte Carlo over spectra alone,
+    each sample the exact mean over W; all times share the spectra, so
+    those rows are correlated and must not be combined as independent
+    estimates. Rows with t = 0 are exactly zero.
     """
     m = _check_state_pair(rho, rho_deph)
     d = rho.dim
     if ensemble.dim != d:
         raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {d}")
-    times = np.asarray(time_grid, dtype=float).reshape(-1)
+    times = _finite_times(time_grid)
     estimates = [McEstimate(0.0, 0.0, n_samples)] * times.size
     moving = np.flatnonzero(times)
     if moving.size == 0:
@@ -394,8 +403,8 @@ def structured_average_grid(
         # the exact mean over W for each spectrum, one column per moving time
         return witness_means(kappa, levels, times[moving])
 
-    if ensemble.kind == "explicit" or not redraw_spectrum:
-        mean = mean_sq(sample_spectrum(ensemble, rng.derive(1)))
+    if ensemble.kind == "explicit":
+        mean = mean_sq(ensemble.explicit_levels)
         std_error = np.zeros_like(mean)
     else:
         mean, std_error = _mc_moments(
@@ -415,16 +424,13 @@ def structured_average_distance(
     n_samples: int,
     rng: RngHandle,
     workers: int = 1,
-    redraw_spectrum: bool = True,
 ) -> McEstimate:
     """Average squared witness at the single time ``t``.
 
     The one-point case of :func:`structured_average_grid`, with the same
     draws for the same ``rng``.
     """
-    return structured_average_grid(
-        rho, rho_deph, ensemble, [t], n_samples, rng, workers, redraw_spectrum
-    )[0]
+    return structured_average_grid(rho, rho_deph, ensemble, [t], n_samples, rng, workers)[0]
 
 
 def witness_trajectory(
@@ -466,7 +472,7 @@ def witness_trajectory(
     if levels.size != rho.dim:
         raise ValueError(f"evolution dimension {levels.size} does not match state dimension {rho.dim}")
     d_s, d_e = rho.d_s, rho.d_e
-    times = np.asarray(time_grid, dtype=float).reshape(-1)
+    times = _finite_times(time_grid)
     mp = dagger(w) @ m @ w
     y = np.empty((times.size, d_s, d_s), dtype=complex)
     if d_s > d_e:

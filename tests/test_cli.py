@@ -7,7 +7,7 @@ import pytest
 
 from dephwit import __version__, cli
 from dephwit.dephasing import CLASSICALITY_TOL, dephase_total, discord_delta, eigenbasis_of_marginal
-from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre, structured_evolution
+from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre, sample_spectrum, structured_evolution
 from dephwit.states import classical_state, from_pure, purity, random_mixed
 from dephwit.witness import (
     choi_isotropic_check,
@@ -48,17 +48,17 @@ n_samples = 1100
 
 CONFIGS = {"gue": GUE_CONFIG, "poisson": POISSON_CONFIG}
 
-# the results-file echo of each config: the mean_spacing default is echoed too
+# the results-file echo of each config
 ECHOES = {
     "gue": {
         "command": "structured-average", "d_S": 2, "d_E": 2, "seed": 11,
         "pure": [[0.8, 0.0], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0]],
-        "ensemble": "gue", "mean_spacing": 1.0, "spectrum_mode": "annealed",
+        "ensemble": "gue", "spectrum_mode": "annealed",
         "time_start": 0.0, "time_stop": 2.0, "time_steps": 3, "n_samples": 1100,
     },
     "poisson": {
         "command": "structured-average", "d_S": 2, "d_E": 2, "seed": 12,
-        "random_rank": 3, "ensemble": "poisson", "mean_spacing": 1.0, "spectrum_mode": "quenched",
+        "random_rank": 3, "ensemble": "poisson", "spectrum_mode": "quenched",
         "time_start": 0.0, "time_stop": 3.0, "time_steps": 4, "n_samples": 1100,
     },
 }
@@ -109,10 +109,12 @@ def test_structured_average_rows_come_from_one_grid_call(tmp_path):
     code, out = _run(tmp_path, "poisson", POISSON_CONFIG)
     assert code == 0
     rows = json.loads(out.read_text())["results"]
+    # quenched: one Poisson spectrum from substream 1 of the Monte Carlo stream, passed in as explicit
     state = random_mixed(2, 2, 3, RngHandle(12).derive(cli._STATE_STREAM))
+    mc = RngHandle(12).derive(cli._MC_STREAM)
+    frozen = SpectrumEnsemble("explicit", 4, sample_spectrum(SpectrumEnsemble("poisson", 4), mc.derive(1)))
     grid = structured_average_grid(
-        state, dephase_total(state), SpectrumEnsemble("poisson", 4), np.linspace(0.0, 3.0, 4),
-        1100, RngHandle(12).derive(cli._MC_STREAM), redraw_spectrum=False,
+        state, dephase_total(state), frozen, np.linspace(0.0, 3.0, 4), 1100, mc,
     )
     assert [(row["mean_sq"], row["std_error"]) for row in rows] == [(e.mean, e.std_error) for e in grid]
 
@@ -264,12 +266,10 @@ def _theorem_direct(seed, d_s, d_e, n_samples):
     }
 
 
-def _structured_direct(state, ensemble, seed, times, n_samples, redraw_spectrum):
+def _structured_direct(state, ensemble, seed, times, n_samples):
     deph, _ = _dephased(state)
     delta = discord_delta(state)
-    grid = structured_average_grid(
-        state, deph, ensemble, times, n_samples, RngHandle(seed).derive(2), redraw_spectrum=redraw_spectrum
-    )
+    grid = structured_average_grid(state, deph, ensemble, times, n_samples, RngHandle(seed).derive(2))
     rows = []
     for t, est in zip(times.tolist(), grid):
         rms, rms_err = est.rms()
@@ -324,7 +324,7 @@ GOLDEN = {
         "time_start = 0.5\ntime_stop = 2\ntime_steps = 3\n",
         {
             "command": "witness-trajectory", "d_S": 2, "d_E": 2, "seed": 24,
-            "random_rank": 2, "ensemble": "gue", "mean_spacing": 1.0,
+            "random_rank": 2, "ensemble": "gue",
             "time_start": 0.5, "time_stop": 2.0, "time_steps": 3,
         },
         lambda: _trajectory_direct(
@@ -345,7 +345,7 @@ GOLDEN = {
         },
         lambda: _structured_direct(
             from_pure(PURE, 2, 2), SpectrumEnsemble("explicit", 4, explicit_levels=np.array([0, 1, 2.5, 4.0])),
-            27, np.linspace(0.0, 3.0, 4), 1100, True,
+            27, np.linspace(0.0, 3.0, 4), 1100,
         ),
     ),
     "haar-average": (
@@ -453,6 +453,8 @@ CHECK = DIMS + "n_samples = 4\n"
 STATE = DIMS + "pure = [0.6, 0, 0.48i, 0.64]\n"
 TRAJECTORY = STATE + "ensemble = gue\ntime_start = 0\ntime_stop = 1\ntime_steps = 2\n"
 EXPLICIT = STATE + "ensemble = explicit\ntime_start = 0\ntime_stop = 1\ntime_steps = 2\n"
+# a trajectory config whose eighth line, time_stop, the test appends
+STOP = TRAJECTORY.replace("time_stop = 1\n", "")
 
 # (command, config text, the one message)
 CONFIG_ERRORS = [
@@ -464,10 +466,10 @@ CONFIG_ERRORS = [
     ("theorem-check", "d_S = 2\nd_E = 2\nseed = [1\nn_samples = 4\n", "seed: unterminated array (line 3)"),
     ("discord", DIMS + "pure = [0.6, 0, 0.48i\n", "pure: unterminated array (line 4)"),
     ("witness-trajectory", EXPLICIT + "levels = [0, 1, 2\n", "levels: unterminated array (line 9)"),
-    ("witness-trajectory", TRAJECTORY + "mean_spacing = [4\n", "mean_spacing: unterminated array (line 9)"),
-    ("witness-trajectory", TRAJECTORY + "mean_spacing = 4]\n", "mean_spacing: unbalanced brackets (line 9)"),
-    ("witness-trajectory", TRAJECTORY + "mean_spacing = [[4]\n", "mean_spacing: unbalanced brackets (line 9)"),
-    ("witness-trajectory", TRAJECTORY + "mean_spacing =\n", "mean_spacing: empty value (line 9)"),
+    ("witness-trajectory", STOP + "time_stop = [4\n", "time_stop: unterminated array (line 8)"),
+    ("witness-trajectory", STOP + "time_stop = 4]\n", "time_stop: unbalanced brackets (line 8)"),
+    ("witness-trajectory", STOP + "time_stop = [[4]\n", "time_stop: unbalanced brackets (line 8)"),
+    ("witness-trajectory", STOP + "time_stop =\n", "time_stop: empty value (line 8)"),
     # the command comes from the subcommand, the output, format and worker count from the command line
     ("theorem-check", CHECK + "command = theorem-check\n", "command: unknown key (line 5)"),
     ("theorem-check", CHECK + "output = out.json\n", "output: unknown key (line 5)"),
@@ -524,16 +526,14 @@ CONFIG_ERRORS = [
         "witness-trajectory", TRAJECTORY.replace("gue", "goe"),
         "ensemble: must be one of poisson, gue, explicit, got 'goe'",
     ),
-    ("witness-trajectory", TRAJECTORY + "mean_spacing = 0\n", "mean_spacing: must be positive"),
-    ("witness-trajectory", TRAJECTORY + "mean_spacing = inf\n", "mean_spacing: must be finite"),
-    ("witness-trajectory", TRAJECTORY + "mean_spacing = fast\n", "mean_spacing: expected a real number, got 'fast'"),
+    ("witness-trajectory", STOP + "time_stop = inf\n", "time_stop: must be finite"),
+    ("witness-trajectory", STOP + "time_stop = fast\n", "time_stop: expected a real number, got 'fast'"),
+    # the unit level spacing is the time unit: there is no spacing key
+    ("witness-trajectory", TRAJECTORY + "mean_spacing = 2\n", "mean_spacing: unknown key (line 9)"),
     ("witness-trajectory", EXPLICIT, "levels: required by the explicit ensemble"),
     ("witness-trajectory", EXPLICIT + "levels = [0, 1]\n", "levels: needs 4 levels, got 2"),
     ("witness-trajectory", TRAJECTORY + "levels = [0, 1, 2, 3]\n", "levels: only meaningful for the explicit ensemble"),
-    (
-        "witness-trajectory", EXPLICIT + "levels = [0, 1, 2, 3]\nmean_spacing = 0.5\n",
-        "mean_spacing: only meaningful for the poisson and gue ensembles",
-    ),
+    ("witness-trajectory", EXPLICIT + "levels = [0, 1, 2, 3]\nmean_spacing = 0.5\n", "mean_spacing: unknown key (line 10)"),
     ("witness-trajectory", EXPLICIT + "levels = 3\n", "levels: expected a nonempty bracket list of real numbers"),
     ("witness-trajectory", EXPLICIT + "levels = [0, 1i, 2, 3]\n", "levels: entry 1j is not a real number"),
     (
@@ -711,7 +711,7 @@ def test_a_bad_workers_variable_is_a_run_error(tmp_path, capsys, monkeypatch, va
         ("witness-trajectory", EXPLICIT + "levels = [inf, 1, 2, 3]\n", "levels: entry inf is not finite"),
         # an integer too large for a float is no finite number either
         ("discord", DIMS + f"pure = [1, 0, 0, {10**400}]\n", "pure: int too large to convert to float"),
-        ("witness-trajectory", TRAJECTORY + f"mean_spacing = {10**400}\n", "mean_spacing: int too large to convert to float"),
+        ("witness-trajectory", STOP + f"time_stop = {10**400}\n", "time_stop: int too large to convert to float"),
     ],
 )
 def test_non_finite_list_entries_are_config_errors(tmp_path, capsys, command, text, message):

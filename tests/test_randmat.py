@@ -196,11 +196,13 @@ def test_haar_reproducible():
 
 
 def test_poisson_spacing_statistics():
-    ens = SpectrumEnsemble("poisson", 1000, mean_spacing=1.0)
+    ens = SpectrumEnsemble("poisson", 1000)
     levels = sample_spectrum(ens, RngHandle(51))
     spacings = np.diff(levels)
     assert np.all(np.diff(levels) >= 0.0)
     mean = spacings.mean()
+    # unit mean spacing, within five standard errors
+    assert abs(mean - 1.0) <= 5.0 / math.sqrt(spacings.size)
     # exponential spacings: variance equals the squared mean
     assert 0.75 <= spacings.var() / mean**2 <= 1.3
 
@@ -285,9 +287,9 @@ def test_smallest_gue_spectra_keep_their_shapes(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_small_gue_spectra_have_the_requested_spacing_over_the_window(d):
-    levels = sample_spectrum(SpectrumEnsemble("gue", d, mean_spacing=2.5), RngHandle(59), size=6)
+    levels = sample_spectrum(SpectrumEnsemble("gue", d), RngHandle(59), size=6)
     window = levels[:, math.floor(0.1 * d) : math.ceil(0.9 * d)]
-    np.testing.assert_allclose(np.diff(window, axis=-1).mean(axis=-1), 2.5, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.diff(window, axis=-1).mean(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_explicit_spectrum_passthrough():
@@ -305,8 +307,11 @@ def test_ensemble_validation():
         SpectrumEnsemble("explicit", 4)
     with pytest.raises(ValueError):
         SpectrumEnsemble("explicit", 4, explicit_levels=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        SpectrumEnsemble("poisson", 4, mean_spacing=0.0)
+    # levels for a sampled ensemble would never be used; a bare third argument is caught the same way
+    for kind in ("poisson", "gue"):
+        for levels in ([0.0, 1.0, 2.0, 3.0], 2.0):
+            with pytest.raises(ValueError, match="^explicit_levels are only for the explicit ensemble$"):
+                SpectrumEnsemble(kind, 4, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +337,12 @@ def _trajectory_of(levels, w):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: SpectrumEnsemble("poisson", 4, mean_spacing=np.inf), "mean_spacing must be positive and finite"),
-        (lambda: SpectrumEnsemble("gue", 4, mean_spacing=np.nan), "mean_spacing must be positive and finite"),
         (lambda: SpectrumEnsemble("explicit", 2, explicit_levels=[0, np.nan]), "explicit_levels must be finite"),
         (lambda: _trajectory_of([0, np.inf], np.eye(2)), "levels must be finite"),
     ],
-    ids=["poisson-inf-spacing", "gue-nan-spacing", "explicit-nan-level", "evolution-inf-level"],
+    ids=["explicit-nan-level", "evolution-inf-level"],
 )
-def test_non_finite_spacings_and_levels_are_rejected(build, message):
+def test_non_finite_levels_are_rejected(build, message):
     # accepted, they made every structured-average row NaN
     with pytest.raises(ValueError, match=message):
         build()

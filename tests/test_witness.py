@@ -343,16 +343,17 @@ def test_structured_average_state_independent_ratio():
             assert gap <= 4.0 * math.hypot(errors[i], errors[j])
 
 
+def _frozen(ens, rng):
+    """The quenched form of ``ens``: one spectrum from rng.derive(1), as an explicit ensemble."""
+    return SpectrumEnsemble("explicit", ens.dim, sample_spectrum(ens, rng.derive(1)))
+
+
 def test_structured_average_quenched_mode_reproducible():
     state, deph = _pair(SQRT8, 2, 2)
     ens = SpectrumEnsemble("poisson", 4)
-    a = structured_average_distance(
-        state, deph, ens, 2.0, 2_000, RngHandle(134), redraw_spectrum=False
-    )
-    b = structured_average_distance(
-        state, deph, ens, 2.0, 2_000, RngHandle(134), redraw_spectrum=False
-    )
-    assert a == b
+    a = structured_average_distance(state, deph, _frozen(ens, RngHandle(134)), 2.0, 2_000, RngHandle(134))
+    b = structured_average_distance(state, deph, _frozen(ens, RngHandle(134)), 2.0, 2_000, RngHandle(134))
+    assert a == b and a.std_error == 0.0
     annealed = structured_average_distance(state, deph, ens, 2.0, 2_000, RngHandle(134))
     assert annealed != a
 
@@ -370,11 +371,10 @@ def test_structured_average_rejects_mismatched_ensemble(monkeypatch):
     with pytest.raises(ValueError):
         structured_average_distance(state, deph, SpectrumEnsemble("gue", 6), 1.0, 100, RngHandle(1))
     # one sample is rejected before any spectrum is drawn, annealed or quenched
-    for redraw in (True, False):
+    gue = SpectrumEnsemble("gue", 4)
+    for ens in (gue, _frozen(gue, RngHandle(1))):
         with pytest.raises(ValueError, match="at least 2"):
-            structured_average_grid(
-                state, deph, SpectrumEnsemble("gue", 4), [0.0, 1.0], 1, RngHandle(1), redraw_spectrum=redraw
-            )
+            structured_average_grid(state, deph, ens, [0.0, 1.0], 1, RngHandle(1))
     assert calls == []
     structured_average_grid(state, deph, SpectrumEnsemble("gue", 4), [1.0], 2, RngHandle(1))
     assert len(calls) == 1  # the counter sees the sampler
@@ -389,17 +389,12 @@ def test_structured_grid_matches_worker_counts():
     state, deph = _grid_case()
     times = [0.0, 0.5, 1.5, 3.0]
     n = 2 * MC_CHUNK + 76
-    for ens, redraw in (
-        (SpectrumEnsemble("gue", 6), True),
-        (SpectrumEnsemble("poisson", 6), True),
-        (SpectrumEnsemble("poisson", 6), False),
+    for ens in (
+        SpectrumEnsemble("gue", 6),
+        SpectrumEnsemble("poisson", 6),
+        _frozen(SpectrumEnsemble("poisson", 6), RngHandle(191)),
     ):
-        one, two = (
-            structured_average_grid(
-                state, deph, ens, times, n, RngHandle(191), workers=w, redraw_spectrum=redraw
-            )
-            for w in (1, 2)
-        )
+        one, two = (structured_average_grid(state, deph, ens, times, n, RngHandle(191), workers=w) for w in (1, 2))
         assert one == two  # bit-identical, not approximately equal
 
 
@@ -408,13 +403,11 @@ def test_structured_grid_columns_match_single_times():
     state, deph = _grid_case()
     times = [0.25, 1.0, 2.5]
     n = 2 * MC_CHUNK + 76
-    for ens, redraw in ((SpectrumEnsemble("gue", 6), True), (SpectrumEnsemble("poisson", 6), False)):
-        rng = RngHandle(192)
-        grid = structured_average_grid(state, deph, ens, times, n, rng, redraw_spectrum=redraw)
+    rng = RngHandle(192)
+    for ens in (SpectrumEnsemble("gue", 6), _frozen(SpectrumEnsemble("poisson", 6), rng)):
+        grid = structured_average_grid(state, deph, ens, times, n, rng)
         for t, est in zip(times, grid):
-            single = structured_average_distance(
-                state, deph, ens, t, n, rng, redraw_spectrum=redraw
-            )
+            single = structured_average_distance(state, deph, ens, t, n, rng)
             assert est.mean == pytest.approx(single.mean, rel=1e-12)
             assert est.std_error == pytest.approx(single.std_error, rel=1e-12)
             assert est.n_samples == single.n_samples == n
@@ -681,8 +674,8 @@ def test_witness_rows_per_squared_discord_are_one_vector(d_s, d_e):
 def test_structured_average_of_a_classical_pair_is_exactly_zero():
     state, deph = _classical_pair()
     times = [0.0, 0.4, 7.0]
-    for ens, redraw in ((SpectrumEnsemble("gue", 4), True), (SpectrumEnsemble("poisson", 4), False)):
-        grid = structured_average_grid(state, deph, ens, times, 1_000, RngHandle(960), redraw_spectrum=redraw)
+    for ens in (SpectrumEnsemble("gue", 4), _frozen(SpectrumEnsemble("poisson", 4), RngHandle(960))):
+        grid = structured_average_grid(state, deph, ens, times, 1_000, RngHandle(960))
         assert grid == [McEstimate(0.0, 0.0, 1_000)] * 3
 
 
@@ -702,11 +695,11 @@ def test_exact_rows_pass_z_checks_against_the_sampler(d_s, d_e):
     n = 4_000
     rng = RngHandle(980)
     explicit = SpectrumEnsemble("explicit", d, explicit_levels=np_rng(981).uniform(0.0, d, d))
-    quenched = SpectrumEnsemble("poisson", d)
-    for ens, redraw in ((explicit, True), (explicit, False), (quenched, False)):
-        grid = structured_average_grid(state, deph, ens, STRUCTURED_TIMES, n, rng, redraw_spectrum=redraw)
+    quenched = _frozen(SpectrumEnsemble("poisson", d), rng)
+    for ens in (explicit, quenched):
+        grid = structured_average_grid(state, deph, ens, STRUCTURED_TIMES, n, rng)
         assert all(est.std_error == 0.0 and est.n_samples == n for est in grid)
-        levels = np.broadcast_to(sample_spectrum(ens, rng.derive(1)), (n, d))
+        levels = np.broadcast_to(ens.explicit_levels, (n, d))
         samples = structured_samples_np(m, d_s, d_e, levels, STRUCTURED_TIMES, np_rng(982 + d))
         for est, col in zip(grid, samples.T):
             z = (est.mean - col.mean()) / (col.std(ddof=1) / math.sqrt(n))
@@ -850,6 +843,55 @@ def test_witness_trajectory_rejects_an_invalid_evolution(levels, w, message):
     state, deph = _pair(SQRT8, 2, 2)
     with pytest.raises(ValueError, match=message):
         witness_trajectory(state, deph, (levels, w), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("mu", [0.5, 2.5])
+@pytest.mark.parametrize("kind", ["gue", "poisson"])
+def test_scaled_levels_are_scaled_times(kind, mu):
+    # the witness sees E only through exp(-iEt): levels mu E at t are E at mu t,
+    # so a level spacing other than 1 is a rescaled time grid
+    state = random_mixed(2, 3, 3, RngHandle(154))
+    deph = dephase_total(state)
+    levels, w = structured_evolution(SpectrumEnsemble(kind, 6), RngHandle(155))
+    times = np.array([0.0, 0.4, 1.3, 2.9, 7.5])
+    scaled = witness_trajectory(state, deph, (mu * levels, w), times)
+    stretched = witness_trajectory(state, deph, (levels, w), mu * times)
+    for a, b in zip(scaled, stretched):
+        np.testing.assert_allclose(a[1:], b[1:], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(a[0], b[0], rtol=0.0, atol=1e-12)  # Tr_E M, zero up to rounding
+    kappa = monomial_weights(weingarten_matrix(4, 6) @ witness_rows(state.rho - deph.rho, 2, 3))
+    stack = sample_spectrum(SpectrumEnsemble(kind, 6), RngHandle(156), size=4)
+    np.testing.assert_allclose(
+        witness_means(kappa, mu * stack, times[1:]), witness_means(kappa, stack, mu * times[1:]), rtol=1e-12, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_are_rejected_before_any_work(monkeypatch, bad):
+    # a NaN reached the eigensolver as "not Hermitian", or became a NaN row
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(witness, name, wrapped)
+
+    counting("sample_spectrum", sample_spectrum)
+    counting("eig_hermitian", eig_hermitian)
+    state, deph = _pair(SQRT8, 2, 2)
+    explicit = SpectrumEnsemble("explicit", 4, explicit_levels=[0.0, 1.0, 2.5, 4.0])
+    evolution = structured_evolution(SpectrumEnsemble("gue", 4), RngHandle(157))
+    for call in (
+        lambda: witness_trajectory(state, deph, evolution, [0.0, bad]),
+        lambda: structured_average_grid(state, deph, SpectrumEnsemble("gue", 4), [bad, 1.0], 100, RngHandle(157)),
+        lambda: structured_average_grid(state, deph, explicit, [bad], 100, RngHandle(157)),
+        lambda: structured_average_distance(state, deph, explicit, bad, 100, RngHandle(157)),
+    ):
+        with pytest.raises(ValueError, match="^times must be finite$"):
+            call()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1266,12 +1308,9 @@ def test_every_mc_entry_point_states_one_sample_rule():
         lambda: choi_isotropic_check(eye, eye, 1, RngHandle(201)),
         lambda: McEstimate(0.0, 0.0, 1),
     ]
-    for redraw in (True, False):
-        calls.append(
-            lambda redraw=redraw: structured_average_grid(
-                state, deph, SpectrumEnsemble("gue", 4), [0.0, 1.0], 1, RngHandle(201), redraw_spectrum=redraw
-            )
-        )
+    gue = SpectrumEnsemble("gue", 4)
+    for ens in (gue, _frozen(gue, RngHandle(201))):
+        calls.append(lambda ens=ens: structured_average_grid(state, deph, ens, [0.0, 1.0], 1, RngHandle(201)))
     for call in calls:
         with pytest.raises(ValueError, match="^n_samples must be at least 2$"):
             call()
