@@ -8,7 +8,7 @@ structured-evolution averages and their Monte Carlo estimators, the
 twirling channel, and a reproducible seeded CLI.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .linalg import (
     dagger,
@@ -34,7 +34,6 @@ from .randmat import (
     ginibre,
     haar_unitary,
     sample_spectrum,
-    structured_evolution,
 )
 from .witness import (
     ChoiCheckResult,

@@ -45,7 +45,7 @@ from . import __version__
 from .config import COMMANDS, ConfigError, parse_config
 from .dephasing import CLASSICALITY_TOL, dephase_total, eigenbasis_of_marginal
 from .linalg import dagger, hs_norm
-from .randmat import RngHandle, SpectrumEnsemble, ginibre, sample_spectrum, structured_evolution
+from .randmat import RngHandle, SpectrumEnsemble, ginibre, sample_spectrum
 from .states import BipartiteState, classical_state, from_pure, purity, random_mixed
 from .witness import (
     choi_isotropic_check,
@@ -130,9 +130,10 @@ def _run_discord(config: dict, master: RngHandle, workers: int):
 
 def _run_witness_trajectory(config: dict, master: RngHandle, workers: int):
     state, deph, _, _ = _dephased_pair(config, master.derive(_STATE_STREAM))
-    se = structured_evolution(_build_ensemble(config), master.derive(_OPERATOR_STREAM))
     times = _time_grid(config)
-    hs_distance, trace_distance = witness_trajectory(state, deph, se, times)
+    hs_distance, trace_distance = witness_trajectory(
+        state, deph, _build_ensemble(config), times, master.derive(_OPERATOR_STREAM)
+    )
     return [
         {"t": float(t), "hs_distance": float(h), "trace_distance": float(td)}
         for t, h, td in zip(times, hs_distance, trace_distance)

@@ -2,12 +2,12 @@
 
 Ginibre matrices, Haar-distributed unitaries via phase-corrected QR
 (or their first k columns, a Haar isometry, from a d x k Ginibre block),
-eigenvalue spectra with Poisson or GUE level statistics, and the
-eigenpairs of structured evolutions W exp(-iEt) W^dagger. There is no
-evolution type: :func:`structured_evolution` returns the plain pair
-``(levels, W)``. GUE spectra come from the beta = 2 Hermite tridiagonal
-model of Dumitriu & Edelman (J. Math. Phys. 43, 5830, 2002): d normals
-and d - 1 gamma variates in place of the 2 d^2 normals of a dense draw.
+and eigenvalue spectra with Poisson or GUE level statistics: the two
+parts of a structured evolution W exp(-iEt) W^dagger, which
+:mod:`dephwit.witness` draws itself. GUE spectra come from the beta = 2
+Hermite tridiagonal model of Dumitriu & Edelman (J. Math. Phys. 43, 5830,
+2002): d normals and d - 1 gamma variates in place of the 2 d^2 normals
+of a dense draw.
 
 All randomness flows through :class:`RngHandle`.
 """
@@ -24,6 +24,16 @@ ENSEMBLE_KINDS = ("poisson", "gue", "explicit")
 
 def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _require_integer(value, name: str, low: int) -> int:
+    """``value`` as an int, if it is an integer of at least ``low``: int()
+    would truncate 2.5 to 2, and numpy would fail later on a float."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return int(value)
 
 
 @dataclass
@@ -80,12 +90,11 @@ def ginibre(d: int, rng: RngHandle, size: int | None = None, columns: int | None
     parts. ``size`` stacks that many draws along a leading axis. A sized
     call consumes the stream differently from repeated unsized calls.
     """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    k = d if columns is None else int(columns)
-    if not 1 <= k <= d:
+    d = _require_integer(d, "dimension", 1)
+    k = d if columns is None else _require_integer(columns, "columns", 1)
+    if k > d:
         raise ValueError(f"columns must lie in [1, {d}], got {columns}")
-    shape = (d, k) if size is None else (int(size), d, k)
+    shape = (d, k) if size is None else (_require_integer(size, "size", 0), d, k)
     # one call draws the real parts, then the imaginary parts, as two calls would
     parts = rng.normals((2,) + shape)
     z = np.empty(shape, dtype=complex)
@@ -135,8 +144,7 @@ class SpectrumEnsemble:
     def __post_init__(self) -> None:
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind: {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("ensemble dimension must be at least 1")
+        _require_integer(self.dim, "ensemble dimension", 1)
         if self.kind != "explicit":
             if self.explicit_levels is not None:
                 raise ValueError("explicit_levels are only for the explicit ensemble")
@@ -167,7 +175,7 @@ def _gue_tridiagonal(d: int, rng: RngHandle, size: int | None = None) -> np.ndar
     eigenvalues distributed as those of a GUE draw H = (G + G^dagger) / 2,
     E|H_ij|^2 = 1. Diagonal N(0, 1), k-th off-diagonal entry
     sqrt(Gamma(d - k, 1)), k = 1 .. d - 1. Shape (d, d), or (size, d, d)."""
-    shape = (d,) if size is None else (int(size), d)
+    shape = (d,) if size is None else (size, d)
     diag = rng.normals(shape)
     off = np.sqrt(rng.gamma(np.arange(d - 1, 0, -1), shape[:-1] + (d - 1,)))
     h = np.zeros(shape + (d,))
@@ -189,7 +197,7 @@ def sample_spectrum(
     explicit ensemble returns copies of its levels and draws nothing.
     """
     d = ensemble.dim
-    shape = (d,) if size is None else (int(size), d)
+    shape = (d,) if size is None else (_require_integer(size, "size", 0), d)
     if ensemble.kind == "explicit":
         levels = np.asarray(ensemble.explicit_levels, dtype=float)
         return levels.copy() if size is None else np.broadcast_to(levels, shape).copy()
@@ -199,12 +207,3 @@ def sample_spectrum(
     levels = np.linalg.eigvalsh(_gue_tridiagonal(d, rng, size))
     return _rescale_bulk(levels)
 
-
-def structured_evolution(ensemble: SpectrumEnsemble, rng: RngHandle) -> tuple[np.ndarray, np.ndarray]:
-    """Draw Haar eigenvectors W, then a spectrum E from the ensemble.
-
-    Returns ``(levels, W)``, the ``np.linalg.eigh`` contract of W diag(E)
-    W^dagger, whose evolution is U(t) = W diag(exp(-i E_j t)) W^dagger (hbar = 1).
-    """
-    w = haar_unitary(ensemble.dim, rng)
-    return sample_spectrum(ensemble, rng), w

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, eig_hermitian, hs_norm_sq, partial_trace_env, require_hermitian
-from .randmat import RngHandle, ginibre
+from .randmat import RngHandle, _require_integer, ginibre
 
 STATE_TOL = 1e-10
 
@@ -36,8 +36,8 @@ class BipartiteState:
         self._validate(None)
 
     def _validate(self, lowest: float | None) -> None:
-        if self.d_s < 1 or self.d_e < 1:
-            raise ValueError("dimensions must be at least 1")
+        _require_integer(self.d_s, "d_s", 1)
+        _require_integer(self.d_e, "d_e", 1)
         rho = require_hermitian(self.rho, "rho")
         if rho.shape[0] != self.d_s * self.d_e:
             raise ValueError(
@@ -111,8 +111,8 @@ def random_mixed(d_s: int, d_e: int, rank: int, rng: RngHandle) -> BipartiteStat
     Normalized G G^dagger with G a (d_s*d_e) by rank complex Gaussian
     matrix; rank 1 reproduces a Haar-like pure state.
     """
-    d = d_s * d_e
-    if not 1 <= rank <= d:
+    d = _require_integer(d_s, "d_s", 1) * _require_integer(d_e, "d_e", 1)
+    if _require_integer(rank, "rank", 1) > d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
     g = ginibre(d, rng, columns=rank)
     rho = g @ dagger(g)

@@ -35,18 +35,13 @@ from .linalg import (
     require_hermitian,
     require_unitary,
 )
-from .randmat import RngHandle, SpectrumEnsemble, haar_unitary, sample_spectrum
+from .randmat import RngHandle, SpectrumEnsemble, _require_integer, haar_unitary, sample_spectrum
 from .states import BipartiteState
 from .weingarten import monomial_weights, weingarten_matrix, witness_means, witness_rows
 
 MC_CHUNK = 512
 BLOCK_BYTES = 128 * 1024
 TRAJECTORY_BLOCK = 256
-
-
-def _require_mc_samples(n_samples: int) -> None:
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,7 @@ class McEstimate:
     n_samples: int
 
     def __post_init__(self) -> None:
-        _require_mc_samples(self.n_samples)
+        _require_integer(self.n_samples, "n_samples", 2)
 
     def rms(self) -> tuple[float, float]:
         """Root of the mean with the propagated standard error.
@@ -213,7 +208,7 @@ def _mc_chunks(chunk_fn, n_samples: int, rng: RngHandle, workers: int):
     ``chunk_fn(handle, count)`` draws ``count`` samples from ``handle`` and
     returns their (count, mean, M2) in a form :func:`_merge` takes.
     """
-    _require_mc_samples(n_samples)
+    _require_integer(n_samples, "n_samples", 2)
     counts = _chunk_counts(n_samples)
     partials = _run_chunks(lambda k: chunk_fn(rng.derive(0, k), counts[k]), len(counts), workers)
     return _merge(partials)
@@ -271,6 +266,7 @@ def haar_witness_prefactor_sq(d_s: int, d_e: int) -> float:
     For a traceless Hermitian difference operator the average squared
     reduced distance is this dimensional factor times the squared HS norm.
     """
+    d_s, d_e = _require_integer(d_s, "d_s", 1), _require_integer(d_e, "d_e", 1)
     if d_s * d_e < 2:
         raise ValueError("total dimension must be at least 2")
     return (d_s**2 * d_e - d_e) / (d_s**2 * d_e**2 - 1)
@@ -436,17 +432,19 @@ def structured_average_distance(
 def witness_trajectory(
     rho: BipartiteState,
     rho_deph: BipartiteState,
-    evolution: tuple[np.ndarray, np.ndarray],
+    ensemble: SpectrumEnsemble,
     time_grid,
+    rng: RngHandle,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Witness distance along a time grid for one fixed evolution.
+    """Witness distance along a time grid for one drawn evolution.
 
-    ``evolution`` is the pair ``(levels, W)`` of
-    :func:`dephwit.randmat.structured_evolution`, U(t) = W exp(-iEt) W^dagger
-    with E = levels. Returns ``(hs_distance, trace_distance)``, one entry
-    per time: norms of Y(t) = Tr_E(U(t) M U(t)^dagger), M = rho - rho_deph.
-    The trace distance is a diagnostic (the quantity used by
-    trace-distance-based detection schemes).
+    U(t) = W exp(-iEt) W^dagger (hbar = 1). Once the inputs are checked,
+    W = ``haar_unitary(d, rng)`` is drawn first and E =
+    ``sample_spectrum(ensemble, rng)`` next; an explicit ensemble fixes E
+    and draws nothing. Returns ``(hs_distance, trace_distance)``, one
+    entry per time: norms of Y(t) = Tr_E(U(t) M U(t)^dagger),
+    M = rho - rho_deph. The trace distance is a diagnostic (the quantity
+    used by trace-distance-based detection schemes).
 
     The eigenbasis W is fixed, so no U(t) is formed. With M' = W^dagger M W,
     W_i the d_e x d block of W's rows with system index i,
@@ -462,17 +460,12 @@ def witness_trajectory(
     stack and its eigenvectors hold 2 T d_s^2 complex entries.
     """
     m = _check_state_pair(rho, rho_deph)
-    levels, w = evolution
-    w = require_unitary(w, "eigvecs")
-    levels = np.asarray(levels, dtype=float)
-    if not np.isfinite(levels).all():
-        raise ValueError("levels must be finite")
-    if levels.shape != (w.shape[0],):
-        raise ValueError("levels length must match eigvecs dimension")
-    if levels.size != rho.dim:
-        raise ValueError(f"evolution dimension {levels.size} does not match state dimension {rho.dim}")
-    d_s, d_e = rho.d_s, rho.d_e
+    if ensemble.dim != rho.dim:
+        raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {rho.dim}")
     times = _finite_times(time_grid)
+    w = haar_unitary(rho.dim, rng)
+    levels = sample_spectrum(ensemble, rng)
+    d_s, d_e = rho.d_s, rho.d_e
     mp = dagger(w) @ m @ w
     y = np.empty((times.size, d_s, d_s), dtype=complex)
     if d_s > d_e:

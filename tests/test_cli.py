@@ -7,7 +7,7 @@ import pytest
 
 from dephwit import __version__, cli
 from dephwit.dephasing import CLASSICALITY_TOL, dephase_total, discord_delta, eigenbasis_of_marginal
-from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre, sample_spectrum, structured_evolution
+from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre, sample_spectrum
 from dephwit.states import classical_state, from_pure, purity, random_mixed
 from dephwit.witness import (
     choi_isotropic_check,
@@ -227,8 +227,7 @@ def _discord_direct(state):
 
 def _trajectory_direct(state, ensemble, seed, times):
     deph, _ = _dephased(state)
-    se = structured_evolution(ensemble, RngHandle(seed).derive(1))
-    hs_distance, trace_distance = witness_trajectory(state, deph, se, times)
+    hs_distance, trace_distance = witness_trajectory(state, deph, ensemble, times, RngHandle(seed).derive(1))
     return [
         {"t": t, "hs_distance": h, "trace_distance": td}
         for t, h, td in zip(times.tolist(), hs_distance.tolist(), trace_distance.tolist())
@@ -330,6 +329,21 @@ GOLDEN = {
         lambda: _trajectory_direct(
             random_mixed(2, 2, 2, RngHandle(24).derive(0)),
             SpectrumEnsemble("gue", 4), 24, np.linspace(0.5, 2.0, 3),
+        ),
+    ),
+    # d_S > d_E: the per-time route of witness_trajectory
+    "trajectory-poisson-4x2": (
+        "witness-trajectory",
+        "d_S = 4\nd_E = 2\nseed = 29\nrandom_rank = 3\nensemble = poisson\n"
+        "time_start = 0\ntime_stop = 3\ntime_steps = 4\n",
+        {
+            "command": "witness-trajectory", "d_S": 4, "d_E": 2, "seed": 29,
+            "random_rank": 3, "ensemble": "poisson",
+            "time_start": 0.0, "time_stop": 3.0, "time_steps": 4,
+        },
+        lambda: _trajectory_direct(
+            random_mixed(4, 2, 3, RngHandle(29).derive(0)),
+            SpectrumEnsemble("poisson", 8), 29, np.linspace(0.0, 3.0, 4),
         ),
     ),
     "structured-explicit": (

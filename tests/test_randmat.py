@@ -11,9 +11,9 @@ from dephwit.randmat import (
     ginibre,
     haar_unitary,
     sample_spectrum,
-    structured_evolution,
 )
-from dephwit.states import classical_state
+from dephwit import witness
+from dephwit.states import random_mixed
 from dephwit.witness import witness_trajectory
 from helpers import gue_levels_np, np_rng
 
@@ -131,6 +131,41 @@ def test_ginibre_rejects_bad_dimension():
             ginibre(3, RngHandle(1), columns=columns)
         with pytest.raises(ValueError, match="columns"):
             haar_unitary(3, RngHandle(1), size=2, columns=columns)
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda h: ginibre(2.5, h), "^dimension must be an integer, got 2.5$"),
+        (lambda h: ginibre(3, h, size=2.5), "^size must be an integer, got 2.5$"),
+        (lambda h: ginibre(3, h, size=-1), "^size must be at least 0$"),
+        (lambda h: ginibre(3, h, columns=2.5), "^columns must be an integer, got 2.5$"),
+        (lambda h: haar_unitary(np.float64(3.0), h), "^dimension must be an integer"),
+        (lambda h: haar_unitary(3, h, size=2.5), "^size must be an integer, got 2.5$"),
+        (lambda h: haar_unitary(3, h, columns=True), "^columns must be an integer, got True$"),
+        (lambda h: sample_spectrum(SpectrumEnsemble("gue", 4), h, size=2.5), "^size must be an integer, got 2.5$"),
+        (lambda h: sample_spectrum(SpectrumEnsemble("poisson", 4), h, size=-2), "^size must be at least 0$"),
+    ],
+    ids=["ginibre-dim", "ginibre-size", "ginibre-negative-size", "ginibre-columns", "haar-dim", "haar-size",
+         "haar-bool-columns", "gue-size", "poisson-negative-size"],
+)
+def test_dimensions_and_sizes_must_be_integers_before_any_draw(draw, message):
+    # int() drew 2 for a size of 2.5 and 1 column for True; a float dimension
+    # or a negative size failed inside numpy
+    handle = RngHandle(62)
+    with pytest.raises(ValueError, match=message):
+        draw(handle)
+    np.testing.assert_array_equal(handle.uniform(4), RngHandle(62).uniform(4))
+
+
+@pytest.mark.parametrize(
+    "kind, dim, levels",
+    [("gue", 4.0, None), ("poisson", True, None), ("gue", np.float64(4.0), None), ("explicit", 2.0, [0.0, 1.0])],
+)
+def test_ensemble_dimension_must_be_an_integer(kind, dim, levels):
+    # accepted, a float dimension failed with a TypeError at the first draw
+    with pytest.raises(ValueError, match="^ensemble dimension must be an integer"):
+        SpectrumEnsemble(kind, dim, levels)
 
 
 def test_full_columns_draw_what_the_default_draws():
@@ -319,28 +354,38 @@ def test_ensemble_validation():
 
 
 @pytest.mark.parametrize("kind", ["gue", "poisson"])
-def test_structured_evolution_draws_eigenvectors_then_levels(kind):
+def test_witness_trajectory_draws_eigenvectors_then_levels(monkeypatch, kind):
+    # one Haar unitary, then one spectrum, both from the stream it is given
+    drawn = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            drawn.append((name, out))
+            return out
+
+        monkeypatch.setattr(witness, name, wrapped)
+
+    recording("haar_unitary", haar_unitary)
+    recording("sample_spectrum", sample_spectrum)
     ensemble = SpectrumEnsemble(kind, 6)
-    levels, w = structured_evolution(ensemble, RngHandle(61))
+    state = random_mixed(2, 3, 3, RngHandle(60))
+    rng = RngHandle(61)
+    witness_trajectory(state, state, ensemble, [1.0], rng)
     handle = RngHandle(61)
-    np.testing.assert_array_equal(w, haar_unitary(6, handle))
-    np.testing.assert_array_equal(levels, sample_spectrum(ensemble, handle))
-    assert np.abs(dagger(w) @ w - np.eye(6)).max() <= 1e-12
-
-
-def _trajectory_of(levels, w):
-    # a 2 x 1 state paired with itself: only the evolution can be rejected
-    state = classical_state([[0.3], [0.7]])
-    return witness_trajectory(state, state, (levels, w), [1.0])
+    assert [name for name, _ in drawn] == ["haar_unitary", "sample_spectrum"]
+    np.testing.assert_array_equal(drawn[0][1], haar_unitary(6, handle))
+    np.testing.assert_array_equal(drawn[1][1], sample_spectrum(ensemble, handle))
+    # and nothing else: the two streams stand at the same place
+    np.testing.assert_array_equal(rng.uniform(4), handle.uniform(4))
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: SpectrumEnsemble("explicit", 2, explicit_levels=[0, np.nan]), "explicit_levels must be finite"),
-        (lambda: _trajectory_of([0, np.inf], np.eye(2)), "levels must be finite"),
     ],
-    ids=["explicit-nan-level", "evolution-inf-level"],
+    ids=["explicit-nan-level"],
 )
 def test_non_finite_levels_are_rejected(build, message):
     # accepted, they made every structured-average row NaN

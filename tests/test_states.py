@@ -163,6 +163,26 @@ def test_random_mixed_rejects_bad_rank():
         random_mixed(2, 2, 5, RngHandle(1))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BipartiteState(2.0, 2, np.eye(4) / 4), "^d_s must be an integer, got 2.0$"),
+        (lambda: BipartiteState(2, True, np.eye(2) / 2), "^d_e must be an integer, got True$"),
+        (lambda: BipartiteState(-2, -2, np.eye(4) / 4), "^d_s must be at least 1$"),
+        (lambda: from_pure([1.0, 0.0, 0.0, 0.0], 2, 2.0), "^d_e must be an integer, got 2.0$"),
+        (lambda: random_mixed(2, 2, 1.5, RngHandle(1)), "^rank must be an integer, got 1.5$"),
+        (lambda: random_mixed(2.0, 2, 1, RngHandle(1)), "^d_s must be an integer, got 2.0$"),
+        (lambda: random_mixed(-2, -2, 1, RngHandle(1)), "^d_s must be at least 1$"),
+    ],
+    ids=["float-d_s", "bool-d_e", "negative", "from-pure-float", "float-rank", "random-float-d_s", "random-negative"],
+)
+def test_state_dimensions_and_rank_must_be_integers(build, message):
+    # accepted, a float dimension failed later with a TypeError from numpy,
+    # and a rank of 1.5 silently drew one column
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_random_mixed_invariants_and_mean_purity():
     # full-rank Hilbert-Schmidt ensemble at total dimension 4
     rng = RngHandle(12)

@@ -18,7 +18,6 @@ from dephwit.randmat import (
     SpectrumEnsemble,
     haar_unitary,
     sample_spectrum,
-    structured_evolution,
 )
 from dephwit.states import (
     BipartiteState,
@@ -724,10 +723,17 @@ def test_annealed_rows_pass_z_checks_against_the_sampler(d_s, d_e):
 # trajectories
 
 
+def _drawn_evolution(ensemble, seed):
+    # the (levels, W) that witness_trajectory draws from RngHandle(seed): W first, then E
+    handle = RngHandle(seed)
+    w = haar_unitary(ensemble.dim, handle)
+    return sample_spectrum(ensemble, handle), w
+
+
 def test_witness_trajectory_starts_at_zero():
     state, deph = _pair(SQRT8, 2, 2)
-    se = structured_evolution(SpectrumEnsemble("gue", 4), RngHandle(141))
-    hs_distance, trace_distance = witness_trajectory(state, deph, se, np.linspace(0.0, 3.0, 7))
+    ens = SpectrumEnsemble("gue", 4)
+    hs_distance, trace_distance = witness_trajectory(state, deph, ens, np.linspace(0.0, 3.0, 7), RngHandle(141))
     assert hs_distance[0] <= 1e-10
     assert trace_distance[0] <= 1e-10
     assert np.all(hs_distance >= 0.0)
@@ -739,9 +745,10 @@ def test_witness_trajectory_trace_distance_at_nonzero_times(d_s, d_e, rank):
     # half the summed |eigenvalues| of the reduced difference, from U = W e^{-iEt} W^dagger
     state = random_mixed(d_s, d_e, rank, RngHandle(144))
     deph = dephase_total(state)
-    levels, w = structured_evolution(SpectrumEnsemble("gue", d_s * d_e), RngHandle(145))
+    ens = SpectrumEnsemble("gue", d_s * d_e)
+    levels, w = _drawn_evolution(ens, 145)
     times = np.array([0.4, 1.3, 2.9, 7.5])
-    _, trace_distance = witness_trajectory(state, deph, (levels, w), times)
+    _, trace_distance = witness_trajectory(state, deph, ens, times, RngHandle(145))
     m = state.rho - deph.rho
     for t, td in zip(times, trace_distance):
         u = evolution_np(levels, w, t)
@@ -760,9 +767,10 @@ def test_witness_trajectory_rows_match_the_dense_evolution(d_s, d_e, rank, kind)
     state = random_mixed(d_s, d_e, rank, RngHandle(146 + d))
     deph = dephase_total(state)
     explicit = np_rng(147 + d).uniform(-d, d, size=d) if kind == "explicit" else None
-    levels, w = structured_evolution(SpectrumEnsemble(kind, d, explicit_levels=explicit), RngHandle(148))
+    ens = SpectrumEnsemble(kind, d, explicit_levels=explicit)
+    levels, w = _drawn_evolution(ens, 148)
     times = np.array([0.0, 0.4, 1.3, 2.9, 7.5, 31.0])
-    hs_distance, trace_distance = witness_trajectory(state, deph, (levels, w), times)
+    hs_distance, trace_distance = witness_trajectory(state, deph, ens, times, RngHandle(148))
     m = state.rho - deph.rho
     for t, hs, td in zip(times, hs_distance, trace_distance):
         u = evolution_np(levels, w, t)
@@ -776,6 +784,23 @@ def test_witness_trajectory_rows_match_the_dense_evolution(d_s, d_e, rank, kind)
             np.testing.assert_allclose([hs, td], expected, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("d_s, d_e", [(2, 3), (3, 2)])
+def test_trajectory_draws_average_to_the_exact_grid_rows(d_s, d_e):
+    # one model: over independent draws of W, the mean of hs_distance^2 at a
+    # fixed spectrum is the Weingarten average; 3 x 2 takes the d_s > d_e route
+    state, deph, _ = _z_case(d_s, d_e)
+    d = d_s * d_e
+    ens = SpectrumEnsemble("explicit", d, np_rng(996 + d_s).uniform(-d, d, size=d))
+    n = 1_000
+    grid = structured_average_grid(state, deph, ens, STRUCTURED_TIMES, n, RngHandle(997))
+    rng = RngHandle(998 + d_s)
+    hs = np.array([witness_trajectory(state, deph, ens, STRUCTURED_TIMES, rng.derive(k))[0] for k in range(n)])
+    for est, col in zip(grid, (hs**2).T):
+        assert est.std_error == 0.0 and est.mean > 1e-3
+        z = (col.mean() - est.mean) / (col.std(ddof=1) / math.sqrt(n))
+        assert abs(z) <= 4.0
+
+
 @pytest.mark.parametrize(
     "times",
     [[], [0.7], np.linspace(0.5, 40.0, witness.TRAJECTORY_BLOCK + 44)],
@@ -783,8 +808,9 @@ def test_witness_trajectory_rows_match_the_dense_evolution(d_s, d_e, rank, kind)
 )
 def test_witness_trajectory_has_one_row_per_time(times):
     state, deph = _pair(SQRT8, 2, 2)
-    levels, w = structured_evolution(SpectrumEnsemble("gue", 4), RngHandle(149))
-    hs_distance, trace_distance = witness_trajectory(state, deph, (levels, w), times)
+    ens = SpectrumEnsemble("gue", 4)
+    levels, w = _drawn_evolution(ens, 149)
+    hs_distance, trace_distance = witness_trajectory(state, deph, ens, times, RngHandle(149))
     assert hs_distance.shape == trace_distance.shape == (len(times),)
     expected = [witness_distance(state, deph, evolution_np(levels, w, t)) for t in times]
     np.testing.assert_allclose(hs_distance, expected, rtol=1e-12)
@@ -795,7 +821,6 @@ def test_witness_trajectory_has_one_row_per_time(times):
 def test_witness_trajectory_makes_one_stacked_eigensolve(monkeypatch, steps, d_s, d_e):
     state = random_mixed(d_s, d_e, 2, RngHandle(151))
     deph = dephase_total(state)
-    evolution = structured_evolution(SpectrumEnsemble("gue", d_s * d_e), RngHandle(150))
     shapes = []
 
     def recording(a):
@@ -803,7 +828,7 @@ def test_witness_trajectory_makes_one_stacked_eigensolve(monkeypatch, steps, d_s
         return eig_hermitian(a)
 
     monkeypatch.setattr(witness, "eig_hermitian", recording)
-    witness_trajectory(state, deph, evolution, np.linspace(0.0, 3.0, steps))
+    witness_trajectory(state, deph, SpectrumEnsemble("gue", d_s * d_e), np.linspace(0.0, 3.0, steps), RngHandle(150))
     assert shapes == [(steps, d_s, d_s)]
 
 
@@ -812,37 +837,25 @@ def test_witness_trajectory_forms_one_pair_block_at_a_time():
     # 8 x 8; one block is d^2, 64 KiB
     state = random_mixed(8, 8, 64, RngHandle(152))
     deph = dephase_total(state)
-    evolution = structured_evolution(SpectrumEnsemble("gue", 64), RngHandle(153))
+    ens = SpectrumEnsemble("gue", 64)
     times = np.linspace(0.0, 3.0, 20)
-    assert _traced_peak(lambda: witness_trajectory(state, deph, evolution, times)) < 512 * 1024
+    assert _traced_peak(lambda: witness_trajectory(state, deph, ens, times, RngHandle(153))) < 512 * 1024
 
 
 def test_witness_trajectory_classical_flat():
     state, deph = _classical_pair()
-    se = structured_evolution(SpectrumEnsemble("poisson", 4), RngHandle(142))
-    hs_distance, _ = witness_trajectory(state, deph, se, np.linspace(0.0, 5.0, 11))
+    ens = SpectrumEnsemble("poisson", 4)
+    hs_distance, _ = witness_trajectory(state, deph, ens, np.linspace(0.0, 5.0, 11), RngHandle(142))
     assert np.all(hs_distance <= 1e-9)
 
 
-def test_witness_trajectory_rejects_mismatched_evolution():
+def test_witness_trajectory_rejects_a_mismatched_ensemble():
+    # the grid's message, before anything is drawn from the stream
     state, deph = _pair(SQRT8, 2, 2)
-    se = structured_evolution(SpectrumEnsemble("poisson", 6), RngHandle(143))
-    with pytest.raises(ValueError, match="evolution dimension 6 does not match state dimension 4"):
-        witness_trajectory(state, deph, se, [0.0, 1.0])
-
-
-@pytest.mark.parametrize(
-    "levels, w, message",
-    [
-        (np.zeros(4), 2.0 * np.eye(4), "eigvecs is not unitary"),
-        (np.zeros(3), np.eye(4), "levels length must match eigvecs dimension"),
-    ],
-    ids=["non-unitary", "wrong-length-levels"],
-)
-def test_witness_trajectory_rejects_an_invalid_evolution(levels, w, message):
-    state, deph = _pair(SQRT8, 2, 2)
-    with pytest.raises(ValueError, match=message):
-        witness_trajectory(state, deph, (levels, w), [0.0, 1.0])
+    rng = RngHandle(143)
+    with pytest.raises(ValueError, match="^ensemble dimension 6 does not match state dimension 4$"):
+        witness_trajectory(state, deph, SpectrumEnsemble("poisson", 6), [0.0, 1.0], rng)
+    np.testing.assert_array_equal(rng.uniform(4), RngHandle(143).uniform(4))
 
 
 @pytest.mark.parametrize("mu", [0.5, 2.5])
@@ -852,10 +865,11 @@ def test_scaled_levels_are_scaled_times(kind, mu):
     # so a level spacing other than 1 is a rescaled time grid
     state = random_mixed(2, 3, 3, RngHandle(154))
     deph = dephase_total(state)
-    levels, w = structured_evolution(SpectrumEnsemble(kind, 6), RngHandle(155))
+    levels, _ = _drawn_evolution(SpectrumEnsemble(kind, 6), 155)
     times = np.array([0.0, 0.4, 1.3, 2.9, 7.5])
-    scaled = witness_trajectory(state, deph, (mu * levels, w), times)
-    stretched = witness_trajectory(state, deph, (levels, w), mu * times)
+    # an explicit ensemble draws no levels, so RngHandle(155) gives both calls the same W
+    scaled = witness_trajectory(state, deph, SpectrumEnsemble("explicit", 6, mu * levels), times, RngHandle(155))
+    stretched = witness_trajectory(state, deph, SpectrumEnsemble(kind, 6), mu * times, RngHandle(155))
     for a, b in zip(scaled, stretched):
         np.testing.assert_allclose(a[1:], b[1:], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(a[0], b[0], rtol=0.0, atol=1e-12)  # Tr_E M, zero up to rounding
@@ -879,12 +893,12 @@ def test_non_finite_times_are_rejected_before_any_work(monkeypatch, bad):
         monkeypatch.setattr(witness, name, wrapped)
 
     counting("sample_spectrum", sample_spectrum)
+    counting("haar_unitary", haar_unitary)
     counting("eig_hermitian", eig_hermitian)
     state, deph = _pair(SQRT8, 2, 2)
     explicit = SpectrumEnsemble("explicit", 4, explicit_levels=[0.0, 1.0, 2.5, 4.0])
-    evolution = structured_evolution(SpectrumEnsemble("gue", 4), RngHandle(157))
     for call in (
-        lambda: witness_trajectory(state, deph, evolution, [0.0, bad]),
+        lambda: witness_trajectory(state, deph, SpectrumEnsemble("gue", 4), [0.0, bad], RngHandle(157)),
         lambda: structured_average_grid(state, deph, SpectrumEnsemble("gue", 4), [bad, 1.0], 100, RngHandle(157)),
         lambda: structured_average_grid(state, deph, explicit, [bad], 100, RngHandle(157)),
         lambda: structured_average_distance(state, deph, explicit, bad, 100, RngHandle(157)),
@@ -1537,3 +1551,33 @@ def test_invalid_dimensions_fail_before_sampling(monkeypatch):
     assert calls == []
     choi_isotropic_check(np.eye(2), np.eye(2), 10, RngHandle(189))
     assert len(calls) == 1  # the counter sees the sampler
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m, s: haar_witness_prefactor_sq(-2, -3), "^d_s must be at least 1$"),
+        (lambda m, s: haar_witness_prefactor_sq(2.0, 3), "^d_s must be an integer, got 2.0$"),
+        (lambda m, s: haar_witness_prefactor_sq(2, True), "^d_e must be an integer, got True$"),
+        (lambda m, s: theorem_rhs(m, -2, -3), "^d_s must be at least 1$"),
+        (lambda m, s: theorem_rhs(m, 3, 2.0), "^d_e must be an integer, got 2.0$"),
+        (lambda m, s: theorem_mc_check(m, -2, -3, 100, RngHandle(190)), "^d_s must be at least 1$"),
+        (lambda m, s: haar_average_distance_sq(*s, 600.5, RngHandle(190)), "^n_samples must be an integer, got 600.5$"),
+        (lambda m, s: McEstimate(0.0, 0.0, 2.5), "^n_samples must be an integer, got 2.5$"),
+    ],
+    ids=["prefactor-negative", "prefactor-float", "prefactor-bool", "rhs-negative", "rhs-float",
+         "mc-check-negative", "haar-average-float-count", "estimate-float-count"],
+)
+def test_dimensions_and_counts_must_be_integers_before_any_draw(monkeypatch, call, message):
+    # a negative pair gave a negative prefactor and rhs, and a float failed inside numpy
+    calls = []
+
+    def counting_haar(*args, **kwargs):
+        calls.append(args)
+        return haar_unitary(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "haar_unitary", counting_haar)
+    m = random_hermitian_np(np_rng(191), 6)
+    with pytest.raises(ValueError, match=message):
+        call(m, _pair(SQRT8, 2, 2))
+    assert calls == []
