@@ -1,9 +1,10 @@
 """Dense complex-matrix primitives.
 
 The partial trace over the environment, the Hilbert-Schmidt norm,
-Hermiticity and unitarity checks, and a cyclic Jacobi eigensolver for
-complex Hermitian matrices that returns plain arrays ``(w, v)``, the
-contract of ``np.linalg.eigh``, for one matrix or a stack of them.
+Hermiticity and unitarity checks, the integer rule for dimensions and
+counts, and a cyclic Jacobi eigensolver for complex Hermitian matrices
+that returns plain arrays ``(w, v)``, the contract of ``np.linalg.eigh``,
+for one matrix or a stack of them.
 
 Matrices are plain ``numpy`` arrays of complex128. Where it costs nothing,
 operations broadcast over leading axes so stacked inputs (Monte Carlo
@@ -26,9 +27,18 @@ class ConvergenceError(ArithmeticError):
     """An iterative routine failed to reach its tolerance."""
 
 
-def _tol(base: float, scale: float) -> float:
-    # absolute below unit scale, relative above it
-    return base * max(1.0, scale)
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _require_integer(value, name: str, low: int) -> int:
+    """``value`` as an int, if it is an integer of at least ``low``: int()
+    would truncate 2.5 to 2, and numpy would fail later on a float."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return int(value)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -46,12 +56,18 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    a = as_square(a, name)
+def _require_each_hermitian(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``, if each matrix of its (..., n, n) stack is Hermitian within
+    ``HERMITICITY_TOL``: absolute below unit HS norm, relative above it."""
     # written as not <= so that a NaN entry fails
-    if not float(np.abs(a - dagger(a)).max(initial=0.0)) <= _tol(HERMITICITY_TOL, float(hs_norm(a))):
+    tol = HERMITICITY_TOL * np.maximum(1.0, hs_norm(a))
+    if not np.all(np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0) <= tol):
         raise ValueError(f"{name} is not Hermitian within tolerance {HERMITICITY_TOL}")
     return a
+
+
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
+    return _require_each_hermitian(as_square(a, name), name)
 
 
 def require_unitary(u, name: str = "matrix") -> np.ndarray:
@@ -67,7 +83,7 @@ def partial_trace_env(x: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
     Accepts stacked input (..., d, d) and contracts each slice.
     """
     x = np.asarray(x, dtype=complex)
-    d = d_s * d_e
+    d = _require_integer(d_s, "d_s", 1) * _require_integer(d_e, "d_e", 1)
     if x.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {x.shape} must end in ({d}, {d}) for d_s*d_e = {d}")
     r = x.reshape(x.shape[:-2] + (d_s, d_e, d_s, d_e))
@@ -114,7 +130,7 @@ def _eig_one(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = a.shape[0]
     work = 0.5 * (a + dagger(a))
     vecs = np.eye(d, dtype=complex)
-    stop = _tol(JACOBI_SWEEP_TOL, hs_norm(work))
+    stop = JACOBI_SWEEP_TOL * max(1.0, hs_norm(work))
     skip = stop / (d * d)
     off_mask = ~np.eye(d, dtype=bool)
     for _ in range(JACOBI_MAX_SWEEPS):

@@ -19,21 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import _is_integer, _require_integer
+
 ENSEMBLE_KINDS = ("poisson", "gue", "explicit")
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _require_integer(value, name: str, low: int) -> int:
-    """``value`` as an int, if it is an integer of at least ``low``: int()
-    would truncate 2.5 to 2, and numpy would fail later on a float."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}")
-    return int(value)
 
 
 @dataclass

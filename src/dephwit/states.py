@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, eig_hermitian, hs_norm_sq, partial_trace_env, require_hermitian
-from .randmat import RngHandle, _require_integer, ginibre
+from .linalg import _require_integer, dagger, eig_hermitian, hs_norm_sq, partial_trace_env, require_hermitian
+from .randmat import RngHandle, ginibre
 
 STATE_TOL = 1e-10
 

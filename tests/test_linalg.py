@@ -48,6 +48,22 @@ def test_partial_trace_rejects_dimension_mismatch():
         partial_trace_env(np.eye(5), 2, 3)
 
 
+@pytest.mark.parametrize(
+    "d_s, d_e, message",
+    [
+        (2.0, 3, "^d_s must be an integer, got 2.0$"),
+        (2, 3.0, "^d_e must be an integer, got 3.0$"),
+        (6, True, "^d_e must be an integer, got True$"),
+        (-2, -3, "^d_s must be at least 1$"),
+    ],
+)
+def test_partial_trace_dimensions_must_be_integers(d_s, d_e, message):
+    # a float failed inside numpy, True passed as 1 and a negative pair reached reshape
+    with pytest.raises(ValueError, match=message):
+        partial_trace_env(np.eye(6), d_s, d_e)
+    np.testing.assert_allclose(partial_trace_env(np.eye(6), np.int64(2), np.int64(3)), 3 * np.eye(2))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_partial_trace_linear_and_hermiticity_preserving(seed):

@@ -25,7 +25,7 @@ from dephwit.states import (
     from_pure,
     random_mixed,
 )
-from dephwit import weingarten, witness
+from dephwit import linalg, weingarten, witness
 from dephwit.dephasing import discord_delta
 from dephwit.witness import (
     MC_CHUNK,
@@ -759,10 +759,10 @@ def test_witness_trajectory_trace_distance_at_nonzero_times(d_s, d_e, rank):
 
 
 @pytest.mark.parametrize("kind", ["gue", "poisson", "explicit"])
-@pytest.mark.parametrize("d_s, d_e, rank", [(2, 2, 4), (3, 2, 1), (2, 16, 32), (2, 64, 1), (4, 2, 8)])
+@pytest.mark.parametrize("d_s, d_e, rank", [(2, 2, 4), (3, 2, 1), (2, 16, 32), (2, 64, 1), (4, 2, 8), (16, 2, 32)])
 def test_witness_trajectory_rows_match_the_dense_evolution(d_s, d_e, rank, kind):
     # every row against U(t) = W e^{-iEt} W^dagger applied to M in numpy; the
-    # 3 x 2 and 4 x 2 shapes take the d_s > d_e route
+    # 3 x 2, 4 x 2 and 16 x 2 shapes cover d_s > d_e
     d = d_s * d_e
     state = random_mixed(d_s, d_e, rank, RngHandle(146 + d))
     deph = dephase_total(state)
@@ -787,7 +787,7 @@ def test_witness_trajectory_rows_match_the_dense_evolution(d_s, d_e, rank, kind)
 @pytest.mark.parametrize("d_s, d_e", [(2, 3), (3, 2)])
 def test_trajectory_draws_average_to_the_exact_grid_rows(d_s, d_e):
     # one model: over independent draws of W, the mean of hs_distance^2 at a
-    # fixed spectrum is the Weingarten average; 3 x 2 takes the d_s > d_e route
+    # fixed spectrum is the Weingarten average, at d_s < d_e and at d_s > d_e
     state, deph, _ = _z_case(d_s, d_e)
     d = d_s * d_e
     ens = SpectrumEnsemble("explicit", d, np_rng(996 + d_s).uniform(-d, d, size=d))
@@ -819,17 +819,28 @@ def test_witness_trajectory_has_one_row_per_time(times):
 @pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 2)])
 @pytest.mark.parametrize("steps", [1, 50, witness.TRAJECTORY_BLOCK + 1])
 def test_witness_trajectory_makes_one_stacked_eigensolve(monkeypatch, steps, d_s, d_e):
+    # eigenvalues only, for all times at once; a Poisson spectrum needs no
+    # eigensolve of its own, so every eigvalsh call is the trace norms'
     state = random_mixed(d_s, d_e, 2, RngHandle(151))
     deph = dephase_total(state)
-    shapes = []
+    shapes, jacobi = [], []
+    eigvalsh = np.linalg.eigvalsh
 
     def recording(a):
         shapes.append(np.shape(a))
+        return eigvalsh(a)
+
+    def counting(a):
+        jacobi.append(np.shape(a))
         return eig_hermitian(a)
 
-    monkeypatch.setattr(witness, "eig_hermitian", recording)
-    witness_trajectory(state, deph, SpectrumEnsemble("gue", d_s * d_e), np.linspace(0.0, 3.0, steps), RngHandle(150))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(linalg, "eig_hermitian", counting)
+    monkeypatch.setattr(witness, "eig_hermitian", counting)
+    ens = SpectrumEnsemble("poisson", d_s * d_e)
+    witness_trajectory(state, deph, ens, np.linspace(0.0, 3.0, steps), RngHandle(150))
     assert shapes == [(steps, d_s, d_s)]
+    assert jacobi == []
 
 
 def test_witness_trajectory_forms_one_pair_block_at_a_time():
@@ -894,7 +905,8 @@ def test_non_finite_times_are_rejected_before_any_work(monkeypatch, bad):
 
     counting("sample_spectrum", sample_spectrum)
     counting("haar_unitary", haar_unitary)
-    counting("eig_hermitian", eig_hermitian)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
     state, deph = _pair(SQRT8, 2, 2)
     explicit = SpectrumEnsemble("explicit", 4, explicit_levels=[0.0, 1.0, 2.5, 4.0])
     for call in (
@@ -1162,6 +1174,13 @@ def test_half_trace_norm_reference_values():
 def test_half_trace_norm_rejects_non_hermitian():
     with pytest.raises(ValueError):
         witness._half_trace_norm(np.triu(np.ones((2, 2))) - np.eye(2))
+    # eigvalsh reads one triangle, so one bad slice of a stack must fail the call;
+    # each slice has its own tolerance, which a large neighbour does not widen
+    skewed = np.array([[0.0, 1e-8], [0.0, 0.0]])
+    for stack in (np.stack([np.eye(2), np.triu(np.ones((2, 2))), np.eye(2)]), np.stack([1e4 * np.eye(2), skewed])):
+        with pytest.raises(ValueError, match="^a is not Hermitian within tolerance 1e-10$"):
+            witness._half_trace_norm(stack)
+    assert witness._half_trace_norm(np.stack([1e4 * np.eye(2) + skewed, np.eye(2)])) == pytest.approx([1e4, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -1564,9 +1583,16 @@ def test_invalid_dimensions_fail_before_sampling(monkeypatch):
         (lambda m, s: theorem_mc_check(m, -2, -3, 100, RngHandle(190)), "^d_s must be at least 1$"),
         (lambda m, s: haar_average_distance_sq(*s, 600.5, RngHandle(190)), "^n_samples must be an integer, got 600.5$"),
         (lambda m, s: McEstimate(0.0, 0.0, 2.5), "^n_samples must be an integer, got 2.5$"),
+        (lambda m, s: haar_average_distance_sq(*s, 600, RngHandle(190), workers=1.5),
+         "^workers must be an integer, got 1.5$"),
+        (lambda m, s: theorem_mc_check(m, 2, 3, 600, RngHandle(190), workers=2.5),
+         "^workers must be an integer, got 2.5$"),
+        (lambda m, s: twirl_mc(m, m, m, 600, RngHandle(190), workers=True), "^workers must be an integer, got True$"),
+        (lambda m, s: choi_isotropic_check(m, m, 600, RngHandle(190), workers=0), "^workers must be at least 1$"),
     ],
     ids=["prefactor-negative", "prefactor-float", "prefactor-bool", "rhs-negative", "rhs-float",
-         "mc-check-negative", "haar-average-float-count", "estimate-float-count"],
+         "mc-check-negative", "haar-average-float-count", "estimate-float-count", "haar-average-float-workers",
+         "mc-check-fractional-workers", "twirl-bool-workers", "choi-zero-workers"],
 )
 def test_dimensions_and_counts_must_be_integers_before_any_draw(monkeypatch, call, message):
     # a negative pair gave a negative prefactor and rhs, and a float failed inside numpy
