@@ -2,9 +2,8 @@
 
 The partial trace over the environment, the Hilbert-Schmidt norm,
 Hermiticity and unitarity checks, the integer rule for dimensions and
-counts, and a cyclic Jacobi eigensolver for complex Hermitian matrices
-that returns plain arrays ``(w, v)``, the contract of ``np.linalg.eigh``,
-for one matrix or a stack of them.
+counts, and the Hermitian eigensolver: LAPACK ``np.linalg.eigh`` behind a
+Hermiticity check, for one matrix or a stack of them.
 
 Matrices are plain ``numpy`` arrays of complex128. Where it costs nothing,
 operations broadcast over leading axes so stacked inputs (Monte Carlo
@@ -13,18 +12,10 @@ batches) go through the same code path.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
-JACOBI_SWEEP_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-
-class ConvergenceError(ArithmeticError):
-    """An iterative routine failed to reach its tolerance."""
 
 
 def _is_integer(x) -> bool:
@@ -102,76 +93,20 @@ def hs_norm(a: np.ndarray):
     return np.sqrt(hs_norm_sq(a))
 
 
-def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    apq = work[p, q]
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (work[q, q].real - work[p, p].real) / (2.0 * mag)
-    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(tau, 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    # 2x2 unitary: a real rotation composed with the phase that makes
-    # the pivot entry real positive
-    rot = np.array(
-        [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]], dtype=complex
-    )
-    cols = [p, q]
-    work[:, cols] = work[:, cols] @ rot
-    work[cols, :] = dagger(rot) @ work[cols, :]
-    work[p, q] = 0.0
-    work[q, p] = 0.0
-    work[p, p] = work[p, p].real
-    work[q, q] = work[q, q].real
-    vecs[:, cols] = vecs[:, cols] @ rot
-
-
-def _eig_one(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = require_hermitian(a, "a")
-    d = a.shape[0]
-    work = 0.5 * (a + dagger(a))
-    vecs = np.eye(d, dtype=complex)
-    stop = JACOBI_SWEEP_TOL * max(1.0, hs_norm(work))
-    skip = stop / (d * d)
-    off_mask = ~np.eye(d, dtype=bool)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # summed directly over off-diagonal entries; subtracting the
-        # diagonal from the total norm cancels catastrophically
-        off = math.sqrt(float(np.sum(np.abs(work[off_mask]) ** 2)))
-        if off <= stop:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(work[p, q]) > skip:
-                    _jacobi_rotate(work, vecs, p, q)
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    vals = np.diagonal(work).real
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize complex Hermitian matrices by cyclic Jacobi rotations.
+    """Diagonalize complex Hermitian matrices: LAPACK ``np.linalg.eigh``
+    on the Hermitian part (a + a^dagger)/2.
 
-    Returns ``(w, v)`` as ``np.linalg.eigh`` does: the eigenvalues ``w``
-    ascending and ``v`` with the matching orthonormal columns. A stack
-    (..., n, n) gives ``w`` of shape (..., n) and ``v`` of shape
-    (..., n, n), each slice exactly what the slice's own call returns.
+    Returns ``(w, v)``: the eigenvalues ``w`` ascending and ``v`` with the
+    matching orthonormal columns. A stack (..., n, n) gives ``w`` of shape
+    (..., n) and ``v`` of shape (..., n, n), one LAPACK call per slice.
 
-    Sweeps run until the off-diagonal Hilbert-Schmidt norm drops below
-    ``JACOBI_SWEEP_TOL`` (hybrid absolute/relative).
-
-    Raises ``ValueError`` if any matrix is not Hermitian and
-    ``ConvergenceError`` if the sweep limit is exceeded (does not happen
-    for Hermitian input at these dimensions).
+    Raises ``ValueError`` if ``a`` is not square or any matrix is not
+    Hermitian, and ``np.linalg.LinAlgError``, itself a ``ValueError``, if
+    LAPACK does not converge.
     """
     a = np.asarray(a, dtype=complex)
-    w = np.empty(a.shape[:-1])
-    v = np.empty(a.shape, dtype=complex)
-    # a single matrix is the one index (); the loop calls the helper, not
-    # this name, so a wrapper of this name sees a stack as one call
-    for i in np.ndindex(a.shape[:-2]):
-        w[i], v[i] = _eig_one(a[i])
-    return w, v
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"a must be square, got shape {a.shape}")
+    _require_each_hermitian(a, "a")
+    return np.linalg.eigh(0.5 * (a + dagger(a)))

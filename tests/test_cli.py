@@ -761,6 +761,18 @@ def test_running_out_of_memory_is_a_one_line_run_error(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_an_eigensolver_that_does_not_converge_is_a_one_line_run_error(tmp_path, capsys, monkeypatch):
+    # LAPACK's failure is a LinAlgError, which is a ValueError
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    code, out = _run(tmp_path, "stuck", "d_S = 2\nd_E = 3\nseed = 1\nrandom_rank = 3\n", command="discord")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: Eigenvalues did not converge"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", [None, "2"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_results_are_a_run_error_in_either_format(tmp_path, capsys, monkeypatch, fmt, workers):

@@ -227,9 +227,24 @@ def test_discord_matches_oracle_on_random_states(seed, dims):
     s = BipartiteState(d_s, d_e, random_density_np(rng, d_s * d_e))
     delta, deph = discord_oracle(s.rho, d_s, d_e)
     assert discord_delta(s) == pytest.approx(delta, abs=1e-9)
-    # the Jacobi solver stops at an off-diagonal norm of 1e-12, which puts
-    # up to 2.5e-12 into the dephased state (20,000 random 3 x 3 states)
-    np.testing.assert_allclose(dephase_total(s).rho, deph, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(dephase_total(s).rho, deph, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_e", [64, 128])
+def test_discord_matches_oracle_at_large_environments(d_e):
+    # full rank, so each dephased block is a dense d_e x d_e matrix
+    s = random_mixed(2, d_e, 2 * d_e, RngHandle(1000 + d_e))
+    delta, deph = discord_oracle(s.rho, 2, d_e)
+    assert discord_delta(s) == pytest.approx(delta, abs=1e-12)
+    np.testing.assert_allclose(dephase_total(s).rho, deph, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_e", [128, 256])
+def test_pure_state_discord_is_the_marginal_impurity_at_large_environments(d_e):
+    # block mu of a pure state has norm p_mu, so delta^2 = 1 - sum p_mu^2
+    s = random_mixed(2, d_e, 1, RngHandle(2000 + d_e))
+    rho_s = s.marginal_system()
+    assert discord_delta(s) ** 2 == pytest.approx(1 - np.trace(rho_s @ rho_s).real, abs=1e-12)
 
 
 def test_discord_against_qubit_geometric_discord():
@@ -303,3 +318,13 @@ def test_classicality_reference_cases():
     assert discord_delta(from_pure(BELL, 2, 2)) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     maximally_mixed = BipartiteState(2, 2, np.eye(4, dtype=complex) / 4)
     assert discord_delta(maximally_mixed) <= CLASSICALITY_TOL
+
+
+def test_degenerate_classical_table_stays_exactly_classical():
+    # marginal {0.2, 0.2, 0.6}: the tied rows have different environment
+    # conditionals, so of the bases in the degenerate eigenspace only the
+    # computational one leaves the state fixed
+    s = classical_state(np.array([[0.2, 0.0], [0.0, 0.2], [0.3, 0.3]]))
+    assert eigenbasis_of_marginal(s)[1]
+    assert discord_delta(s) == 0.0
+    np.testing.assert_array_equal(dephase_total(s).rho, s.rho)

@@ -823,7 +823,7 @@ def test_witness_trajectory_makes_one_stacked_eigensolve(monkeypatch, steps, d_s
     # eigensolve of its own, so every eigvalsh call is the trace norms'
     state = random_mixed(d_s, d_e, 2, RngHandle(151))
     deph = dephase_total(state)
-    shapes, jacobi = [], []
+    shapes, full_solves = [], []
     eigvalsh = np.linalg.eigvalsh
 
     def recording(a):
@@ -831,7 +831,7 @@ def test_witness_trajectory_makes_one_stacked_eigensolve(monkeypatch, steps, d_s
         return eigvalsh(a)
 
     def counting(a):
-        jacobi.append(np.shape(a))
+        full_solves.append(np.shape(a))
         return eig_hermitian(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
@@ -840,7 +840,7 @@ def test_witness_trajectory_makes_one_stacked_eigensolve(monkeypatch, steps, d_s
     ens = SpectrumEnsemble("poisson", d_s * d_e)
     witness_trajectory(state, deph, ens, np.linspace(0.0, 3.0, steps), RngHandle(150))
     assert shapes == [(steps, d_s, d_s)]
-    assert jacobi == []
+    assert full_solves == []
 
 
 def test_witness_trajectory_forms_one_pair_block_at_a_time():
