@@ -37,11 +37,17 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    """``a`` as one complex square matrix; a stack of matrices is rejected."""
+def _as_squares(a, name: str) -> np.ndarray:
+    """``a`` as a complex (..., n, n) stack of square matrices."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as one complex square matrix; a stack of matrices is rejected."""
+    a = _as_squares(a, name)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a single matrix, not a stack")
     return a
@@ -105,8 +111,5 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Hermitian, and ``np.linalg.LinAlgError``, itself a ``ValueError``, if
     LAPACK does not converge.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"a must be square, got shape {a.shape}")
-    _require_each_hermitian(a, "a")
+    a = _require_each_hermitian(_as_squares(a, "a"), "a")
     return np.linalg.eigh(0.5 * (a + dagger(a)))
