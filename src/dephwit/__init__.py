@@ -8,7 +8,7 @@ structured-evolution averages and their Monte Carlo estimators, the
 twirling channel, and a reproducible seeded CLI.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .linalg import (
     dagger,

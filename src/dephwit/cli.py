@@ -3,13 +3,15 @@
 Usage: ``dephwit <command> --config <path> --output <path>
 [--format csv|json]``, the options before or after the command. The
 config file describes the experiment and the command line says where its
-results go. The JSON results echo the config under ``config``, as
-``parse_config`` returns it; the JSON writer turns its arrays into lists
-and complex amplitudes into ``[re, im]`` pairs. Every run is pinned by
-the file's seed: the master seed spawns fixed substreams for state
-generation, operator draws, and the Monte Carlo chunks, so identical
-configs produce byte-identical output files for any worker count.
-Wall-clock timing goes to stderr only.
+results go. The command-line parser is built on the first call of
+``main`` and kept, one per process, so a caller that runs many
+experiments in process pays for it once. The JSON results echo the
+config under ``config``, as ``parse_config`` returns it; the JSON writer
+turns its arrays into lists and complex amplitudes into ``[re, im]``
+pairs. Every run is pinned by the file's seed: the master seed spawns
+fixed substreams for state generation, operator draws, and the Monte
+Carlo chunks, so identical configs produce byte-identical output files
+for any worker count. Wall-clock timing goes to stderr only.
 A ``structured-average`` run with a fixed spectrum has exact rows: the
 explicit ensemble's levels, or in ``quenched`` mode one Poisson or GUE
 spectrum drawn once and then used as an explicit one. Its ``n_samples``
@@ -32,6 +34,7 @@ cannot be read or is invalid; each problem is one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -103,7 +106,9 @@ def _dephased_pair(config: dict, rng: RngHandle):
     if degenerate:
         print(
             "warning: reduced system state has a degenerate spectrum; "
-            "delta depends on the basis the eigensolver picks inside the degenerate eigenspace",
+            "delta depends on the basis the eigensolver picks inside the degenerate eigenspace\n"
+            "warning: the tie is among nonzero eigenvalues; ties among zero eigenvalues leave delta "
+            "basis-free and are not flagged",
             file=sys.stderr,
         )
     deph = dephase_total(state, basis)
@@ -328,7 +333,9 @@ def write_output(record: dict, path: str, fmt: str) -> None:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and kept: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="dephwit",
         description="Seeded witness experiments for nonclassical bipartite correlations.",

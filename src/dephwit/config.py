@@ -16,6 +16,7 @@ key names; the CLI runs it and echoes it into the results file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -50,25 +51,28 @@ class ConfigError(ValueError):
 # value parsing and the key table
 
 
+# the only characters that split a list or change its depth
+_STRUCTURAL = re.compile(r"[\[\],]")
+
+
 def _split_top_level(body: str) -> list[str]:
     parts: list[str] = []
     depth = 0
-    current = []
-    for ch in body:
+    start = 0
+    for match in _STRUCTURAL.finditer(body):
+        ch = match.group()
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
             if depth < 0:
                 raise ValueError("unbalanced brackets")
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
+        elif depth == 0:
+            parts.append(body[start:match.start()])
+            start = match.end()
     if depth != 0:
         raise ValueError("unbalanced brackets")
-    tail = "".join(current)
+    tail = body[start:]
     if tail.strip() or parts:
         parts.append(tail)
     return parts

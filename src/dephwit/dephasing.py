@@ -25,13 +25,17 @@ def eigenbasis_of_marginal(state: BipartiteState) -> tuple[np.ndarray, bool]:
 
     Returns ``(vectors, degenerate)``. ``vectors`` is a d_s x d_s unitary
     whose columns are the basis vectors, ordered by ascending marginal
-    eigenvalue. ``degenerate`` flags spectra with any gap below
-    ``DEGENERACY_GAP``; delta then depends on the basis the eigensolver
-    picks inside the degenerate eigenspace, not on the state alone.
+    eigenvalue. ``degenerate`` flags spectra with a gap below
+    ``DEGENERACY_GAP`` between neighbouring eigenvalues the larger of
+    which exceeds ``DEGENERACY_GAP``; delta then depends on the basis the
+    eigensolver picks inside the degenerate eigenspace, not on the state
+    alone. Ties among zero eigenvalues are not flagged: for rho >= 0,
+    rho_S v = 0 gives (|v><v| x 1) rho = 0, so every basis of the null
+    space of rho_S gives the same dephased state.
     """
     eigenvalues, vectors = eig_hermitian(state.marginal_system())
-    gaps = np.diff(eigenvalues)
-    return vectors, bool(gaps.size and gaps.min() < DEGENERACY_GAP)
+    ties = (np.diff(eigenvalues) < DEGENERACY_GAP) & (eigenvalues[1:] > DEGENERACY_GAP)
+    return vectors, bool(ties.any())
 
 
 def dephase_total(state: BipartiteState, basis: np.ndarray | None = None) -> BipartiteState:

@@ -14,8 +14,9 @@ All randomness flows through :class:`RngHandle`.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +34,14 @@ class RngHandle:
     ziggurat) and ``standard_gamma`` sequences bit for bit under one numpy
     version. ``derive`` returns independent child streams, which pin Monte
     Carlo results however the work is split across workers.
+
+    The seed and spawn key are checked at construction, but the generator
+    is built on the first draw, so a handle that only derives children
+    builds none; the streams are the same either way.
     """
 
     seed: int
     spawn_key: tuple[int, ...] = ()
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # int() would truncate 1.5 to the stream of 1 and take True for 1
@@ -48,8 +52,11 @@ class RngHandle:
             raise ValueError("spawn_key entries must be nonnegative integers")
         self.seed = int(self.seed)
         self.spawn_key = tuple(int(k) for k in key)
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(ss))
 
     def derive(self, *indices: int) -> "RngHandle":
         """Independent child stream addressed by the given indices."""

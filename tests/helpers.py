@@ -231,3 +231,42 @@ def haar_witness_coefficients_exact(d_s: int, d_e: int) -> tuple[Fraction, Fract
     wg = weingarten_exact(2, d_s * d_e)
     cols = (d_s * d_e**2, d_s**2 * d_e)
     return wg[1][0] * cols[0] + wg[1][1] * cols[1], wg[0][0] * cols[0] + wg[0][1] * cols[1]
+
+
+def split_top_level_loop(body: str) -> list[str]:
+    """Character-loop splitter of a bracket list's body at its top-level
+    commas; raises ValueError("unbalanced brackets")."""
+    parts: list[str] = []
+    depth = 0
+    current = []
+    for ch in body:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                raise ValueError("unbalanced brackets")
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise ValueError("unbalanced brackets")
+    tail = "".join(current)
+    if tail.strip() or parts:
+        parts.append(tail)
+    return parts
+
+
+def parse_value_loop(raw: str, parse_scalar):
+    """A config right-hand side parsed with ``split_top_level_loop``;
+    ``parse_scalar`` parses each leaf."""
+    raw = raw.strip()
+    if raw.startswith("["):
+        if not raw.endswith("]"):
+            raise ValueError("unterminated array")
+        return [parse_value_loop(tok, parse_scalar) for tok in split_top_level_loop(raw[1:-1])]
+    if "]" in raw:
+        raise ValueError("unbalanced brackets")
+    return parse_scalar(raw)

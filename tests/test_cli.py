@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephwit import __version__, cli
+from dephwit.config import _parse_scalar, parse_value
 from dephwit.dephasing import CLASSICALITY_TOL, dephase_total, discord_delta, eigenbasis_of_marginal
 from dephwit.randmat import RngHandle, SpectrumEnsemble, ginibre, sample_spectrum
 from dephwit.states import classical_state, from_pure, purity, random_mixed
@@ -19,6 +22,7 @@ from dephwit.witness import (
     twirl_mc,
     witness_trajectory,
 )
+from helpers import parse_value_loop
 
 GUE_CONFIG = """\
 d_S = 2
@@ -789,3 +793,79 @@ def test_non_finite_results_are_a_run_error_in_either_format(tmp_path, capsys, m
         "error: results are not finite: mean_sq, ratio_to_delta, rms, rms_std_error, std_error"
     ]
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(STATE)
+    first, again, bad = tmp_path / "first.json", tmp_path / "again.json", tmp_path / "bad.json"
+    assert cli.main(["discord", "--config", str(cfg), "--output", str(first)]) == 0
+    for argv in (
+        ["discrod", "--config", str(cfg), "--output", str(bad)],
+        ["discord", "--config", str(cfg), "--output", str(bad), "--format", "xml"],
+        ["discord", "--output", str(bad)],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("dephwit: error: ")
+        assert not bad.exists()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"dephwit {__version__}\n"
+    assert cli.main(["discord", "--config", str(cfg), "--output", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_golden_runs_repeated_in_one_process_write_the_same_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    passes = []
+    for names in (list(GOLDEN), list(reversed(GOLDEN))):
+        outputs = {}
+        for name in names:
+            command, text, _, _ = GOLDEN[name]
+            for fmt in ("json", "csv"):
+                code, out = _run(tmp_path, f"{name}-{fmt}", text, "--format", fmt, command=command)
+                assert code == 0
+                outputs[name, fmt] = out.read_bytes()
+        passes.append(outputs)
+    assert passes[0] == passes[1]
+
+
+def test_a_tie_only_at_zero_in_the_marginal_gives_no_warning(tmp_path, capsys):
+    # rank 3 at 16 x 2: the marginal's 10 zero eigenvalues tie, the rest are
+    # at least 0.03 apart
+    text = "d_S = 16\nd_E = 2\nseed = 1\nrandom_rank = 3\n"
+    code, out = _run(tmp_path, "zero-tie", text, command="discord")
+    assert code == 0
+    assert not [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert json.loads(out.read_text())["results"]["degenerate_marginal"] == 0
+
+
+# config right-hand sides over the characters that matter to the splitter
+VALUE_TEXT = st.text(alphabet="[],1.i+- ", max_size=40)
+# well-formed nested lists, which random text seldom is
+NESTED_TEXT = st.recursive(
+    st.text(alphabet="1.i+- ", max_size=6),
+    lambda inner: st.lists(inner, max_size=4).map(lambda items: "[" + ",".join(items) + "]"),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(VALUE_TEXT, VALUE_TEXT.map(lambda s: f"[{s}]"), NESTED_TEXT))
+# a closing bracket below depth 0 is an error at once, though a later "[" rebalances
+@example("[[1]]1,[]")
+def test_parse_value_matches_the_character_loop(raw):
+    try:
+        expected = parse_value_loop(raw, _parse_scalar)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as exc_info:
+            parse_value(raw)
+        assert str(exc_info.value) == str(exc)
+        assert str(exc) in ("unbalanced brackets", "unterminated array", "empty value")
+    else:
+        assert repr(parse_value(raw)) == repr(expected)

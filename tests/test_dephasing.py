@@ -328,3 +328,23 @@ def test_degenerate_classical_table_stays_exactly_classical():
     assert eigenbasis_of_marginal(s)[1]
     assert discord_delta(s) == 0.0
     np.testing.assert_array_equal(dephase_total(s).rho, s.rho)
+
+
+def test_ties_among_zero_marginal_eigenvalues_are_not_flagged():
+    # rank 3 at 16 x 2: rho_S has 10 zero eigenvalues, and every basis of
+    # its null space gives the same dephased state
+    s = random_mixed(16, 2, 3, RngHandle(1).derive(0))
+    w, v = eig_hermitian(s.marginal_system())
+    null = w < dephasing.DEGENERACY_GAP
+    assert null.sum() == 10 and np.diff(w[~null]).min() > 0.03
+    assert not eigenbasis_of_marginal(s)[1]
+    rotated = v.copy()
+    rotated[:, null] = v[:, null] @ haar_unitary(10, RngHandle(2))
+    delta = discord_delta(s)
+    assert float(hs_norm(s.rho - dephase_total(s, rotated).rho)) == pytest.approx(delta, abs=1e-12)
+    # zero rows of a table tie at zero and are not flagged; equal nonzero rows are
+    assert not eigenbasis_of_marginal(classical_state(np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]])))[1]
+    assert eigenbasis_of_marginal(classical_state(np.array([[0.0, 0.0], [0.25, 0.25], [0.25, 0.25]])))[1]
+    # a tie far below the spectrum but above DEGENERACY_GAP is not a tie at zero
+    tiny = np.array([[5e-7, 5e-7], [5e-7, 5e-7], [0.5 - 1e-6, 0.5 - 1e-6]])
+    assert eigenbasis_of_marginal(classical_state(tiny))[1]

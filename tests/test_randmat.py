@@ -29,6 +29,19 @@ def test_rng_reproducible_bit_for_bit():
     assert np.array_equal(a.uniform(100), b.uniform(100))
 
 
+def test_rng_builds_its_generator_on_the_first_draw(monkeypatch):
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda seed: built.append(seed) or philox(seed))
+    root = RngHandle(7)
+    child = root.derive(0)
+    child.derive(1)
+    assert built == []
+    child.normals(2)
+    child.uniform(2)
+    assert len(built) == 1
+
+
 def test_rng_derived_streams_differ():
     root = RngHandle(7)
     x = root.derive(0).normals(100)

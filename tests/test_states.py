@@ -200,3 +200,18 @@ def test_random_generators_reproducible():
     a = random_mixed(2, 3, 4, RngHandle(99))
     b = random_mixed(2, 3, 4, RngHandle(99))
     assert np.array_equal(a.rho, b.rho)
+    # a handle's streams are numpy's Philox streams of (seed, key), whether
+    # or not it derived children, and drew from them, before its first draw
+    for key in [(), (0,), (2, 7)]:
+        for derive_first in (False, True):
+            handle = RngHandle(99, key)
+            if derive_first:
+                handle.derive(0).normals(3)
+                handle.derive(1, 2)
+            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(99, spawn_key=key)))
+            assert np.array_equal(handle.normals((3, 4)), gen.standard_normal((3, 4)))
+            assert np.array_equal(handle.uniform(5), gen.random(5))
+            k = np.arange(1, 4)
+            assert np.array_equal(handle.gamma(k, (2, 3)), gen.standard_gamma(k, (2, 3)))
+    with pytest.raises(ValueError, match="seed must be"):
+        RngHandle(2**64)
